@@ -16,7 +16,7 @@ sys.path.insert(0, "src")
 from hhck.affine import build_curve
 from hhck.io import fmt6
 from hhck.kernels import load_bundled
-from hhck.locality import REFERENCE_SIDE, boundary_profile, difference_map
+from hhck.locality import boundary_profile, difference_map, reference_order
 
 
 def main() -> None:
@@ -26,10 +26,8 @@ def main() -> None:
     args = ap.parse_args()
 
     kernel = load_bundled(args.kernel)
-    order, side = 1, kernel.side
-    while side < REFERENCE_SIDE:
-        side *= 2
-        order += 1
+    order = reference_order(kernel)
+    side = kernel.side * 2 ** (order - 1)
 
     cols = []
     for nu in args.nu:

@@ -45,7 +45,7 @@ from .affine import (
     index_to_xy,
     xy_to_index,
 )
-from .tags import MORPHISMS, Morphism, TAG_RULES, TagRule, apply_morphism, expand
+from .tags import TAG_RULES, TagRule, expand
 from .tags import generate as tag_generate
 from .locality import (
     BarrierMask,
@@ -60,6 +60,7 @@ from .locality import (
     diff_stats,
     difference_map,
     dilation_factor,
+    reference_order,
 )
 from .kernels import BUILTIN_KERNELS, kernel_checksum, load_bundled, resolve_kernel
 

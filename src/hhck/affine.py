@@ -119,36 +119,6 @@ RULE_SETS: tuple[RuleSet, ...] = (
 N_VARIANTS = len(RULE_SETS)
 
 
-class QuadrantImage:
-    """Quarter of a grown curve: the image of one path under one map.
-
-    Not a CurvePath: it fills a single quadrant of its (doubled) grid,
-    not the whole grid.
-    """
-
-    def __init__(self, side: int, cells: np.ndarray):
-        self.side = side
-        cells = np.ascontiguousarray(cells)
-        cells.flags.writeable = False
-        self.cells = cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuadrantImage):
-            return NotImplemented
-        return self.side == other.side and bool(np.array_equal(self.cells, other.cells))
-
-    @property
-    def entry(self) -> GridPoint:
-        return (int(self.cells[0, 0]), int(self.cells[0, 1]))
-
-    @property
-    def exit(self) -> GridPoint:
-        return (int(self.cells[-1, 0]), int(self.cells[-1, 1]))
-
-
 def _apply_to_cells(q: AffineMap, cells: np.ndarray, side: int) -> np.ndarray:
     src, sign, offset = q.cell_transform(side)
     out = cells[:, src] * sign + offset
@@ -160,9 +130,13 @@ def _apply_to_cells(q: AffineMap, cells: np.ndarray, side: int) -> np.ndarray:
     return out
 
 
-def apply_affine(q: AffineMap, p: CurvePath) -> QuadrantImage:
-    """Image of a whole path under one quadrant map, on the doubled grid."""
-    return QuadrantImage(2 * p.side, _apply_to_cells(q, p.cells, p.side))
+def apply_affine(q: AffineMap, p: CurvePath) -> np.ndarray:
+    """Cells of a whole path's image under one quadrant map, in traversal order.
+
+    The (n, 2) array lies on the doubled grid and fills only the map's
+    quadrant, so it is not a CurvePath.
+    """
+    return _apply_to_cells(q, p.cells, p.side)
 
 
 def grow_once(nu: int, p: CurvePath) -> CurvePath:

@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import affine, tags
+from .affine import N_VARIANTS
 from .core import CurveError, CurvePath
-from .io import fmt6, stats_record, write_barrier_ppm, write_curve_csv, \
+from .io import json_record, stats_record, write_barrier_ppm, write_curve_csv, \
     write_diffmap_csv, write_diffmap_pgm
 from .kernels import BUILTIN_KERNELS, kernel_checksum, resolve_kernel
-from .locality import DEFAULT_CONVENTION, DIVISOR_CONVENTIONS, REFERENCE_SIDE, \
-    barrier_mask, diff_stats, difference_map, dilation_factor
+from .locality import DEFAULT_CONVENTION, DIVISOR_CONVENTIONS, barrier_mask, \
+    diff_stats, difference_map, dilation_factor, reference_order
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,7 +31,6 @@ EXIT_IO = 4
 
 COMMANDS = ("generate", "analyze", "dilation", "diffmap",
             "validate-kernel", "reproduce-tables")
-N_VARIANTS = 12
 
 # the both-backend check goes through this table so a test can corrupt
 # one side and watch the mismatch fire
@@ -117,16 +116,6 @@ def _build_path(job: JobSpec, nu: int) -> CurvePath:
     return BACKENDS[job.backend](nu, job.order, kernel)
 
 
-def _reference_order(kernel) -> int:
-    """Order at which a kernel's curve reaches the reference grid side."""
-    n = 1
-    side = kernel.side
-    while side < REFERENCE_SIDE:
-        side *= 2
-        n += 1
-    return n
-
-
 def _emit(job: JobSpec, nu: int, out_path: Path | None) -> None:
     """Run one (command, nu) unit of work."""
 
@@ -149,9 +138,8 @@ def _emit(job: JobSpec, nu: int, out_path: Path | None) -> None:
         deliver(lambda fh: fh.write(rec + "\n"))
     elif job.command == "dilation":
         p = _build_path(job, nu)
-        sigma = dilation_factor(p)
-        rec = (f'{{"nu": {nu}, "order": {job.order}, "kernel": "{job.kernel}", '
-               f'"sigma": {fmt6(sigma)}}}')
+        rec = json_record({"nu": nu, "order": job.order, "kernel": job.kernel,
+                           "sigma": dilation_factor(p)})
         deliver(lambda fh: fh.write(rec + "\n"))
     elif job.command == "diffmap":
         p = _build_path(job, nu)
@@ -162,9 +150,14 @@ def _emit(job: JobSpec, nu: int, out_path: Path | None) -> None:
             deliver(lambda fh: write_diffmap_pgm(fh, m))
             mask = barrier_mask(m)
             deliver(lambda fh: write_barrier_ppm(fh, m, mask), suffix=".barrier.ppm")
+    elif job.command == "validate-kernel":
+        spec = resolve_kernel(job.kernel)
+        rec = json_record({"kernel": spec.name, "side": spec.side,
+                           "sha256": kernel_checksum(spec), "valid": True})
+        deliver(lambda fh: fh.write(rec + "\n"))
     elif job.command == "reproduce-tables":
         kernel = resolve_kernel(job.kernel)
-        order = _reference_order(kernel)
+        order = reference_order(kernel)
         recs = []
         for k in range(N_VARIANTS):
             p = BACKENDS["affine"](k, order, kernel)
@@ -178,34 +171,17 @@ def run(job: JobSpec) -> int:
     """Execute one job; print errors to stderr and return the exit code."""
     try:
         _check_job(job)
-        if job.command == "validate-kernel":
-            spec = resolve_kernel(job.kernel)
-            rec = (f'{{"kernel": "{spec.name}", "side": {spec.side}, '
-                   f'"sha256": "{kernel_checksum(spec)}", "valid": true}}')
-            if job.output is None:
-                print(rec)
-            else:
-                with open(job.output, "w", encoding="ascii", newline="\n") as fh:
-                    fh.write(rec + "\n")
-            return EXIT_OK
-
         nus = _nu_values(job)
-        if len(nus) == 1:
-            _emit(job, nus[0], Path(job.output) if job.output else None)
-            return EXIT_OK
-
-        # fan out one worker per variant, one file per variant
-        out_dir = Path(job.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        ext = {"csv": "csv", "pgm": "pgm", "json-record": "json"}[job.format]
-        stem = f"{job.command}-{job.kernel}-n{job.order}"
-
-        def work(k: int) -> None:
-            _emit(job, k, out_dir / f"{stem}-nu{k:02d}.{ext}")
-
-        with ThreadPoolExecutor() as pool:
-            for fut in [pool.submit(work, k) for k in nus]:
-                fut.result()
+        if job.nu == "all":
+            out_dir = Path(job.output)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            ext = {"csv": "csv", "pgm": "pgm", "json-record": "json"}[job.format]
+            stem = f"{job.command}-{job.kernel}-n{job.order}"
+            targets = [(k, out_dir / f"{stem}-nu{k:02d}.{ext}") for k in nus]
+        else:
+            targets = [(nus[0], Path(job.output) if job.output else None)]
+        for nu, target in targets:
+            _emit(job, nu, target)
         return EXIT_OK
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -270,12 +246,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reproduce-tables",
                         help="12 per-variant stats records at the reference side")
-    sp.add_argument("--kernel", default="unit")
-    sp.add_argument("--output", "-o", default=None)
-    sp.add_argument("--convention", default=DEFAULT_CONVENTION,
-                    choices=DIVISOR_CONVENTIONS)
-    sp.add_argument("--divisor8", action="store_true",
-                    help="shorthand for --convention divisor8")
+    common(sp, nu=False, order=False, backend=False, convention=True)
     sp.set_defaults(format="json-record")
     return ap
 

@@ -110,24 +110,24 @@ STATS_FIELDS = ("mean", "max", "min", "median", "entropy_bits", "pct_below_mean"
                 "convention", "order")
 
 
+def json_record(row: dict) -> str:
+    """One-line JSON object in the row's key order.
+
+    Numbers go through fmt6 and print unquoted, so a record carries
+    exactly the printed precision; strings and bools go through
+    json.dumps, which escapes them.
+    """
+    parts = []
+    for k, v in row.items():
+        text = json.dumps(v) if isinstance(v, (str, bool)) else fmt6(v)
+        parts.append(f"{json.dumps(k)}: {text}")
+    return "{" + ", ".join(parts) + "}"
+
+
 def stats_record(s: DiffStats, convention: str, order: int,
                  extra: dict | None = None) -> str:
     """One-line JSON record; field order is fixed by STATS_FIELDS."""
     row = dict(extra or {})
-    row["mean"] = fmt6(s.mean)
-    row["max"] = fmt6(s.max)
-    row["min"] = fmt6(s.min)
-    row["median"] = fmt6(s.median)
-    row["entropy_bits"] = fmt6(s.entropy_bits)
-    row["pct_below_mean"] = fmt6(s.pct_below_mean)
-    row["convention"] = convention
-    row["order"] = order
-    # numeric fields carry fmt6 strings rendered unquoted, so the record
-    # reads as JSON with exact printed precision
-    parts = []
-    for k, v in row.items():
-        if isinstance(v, str) and k not in ("convention", "kernel"):
-            parts.append(f'"{k}": {v}')
-        else:
-            parts.append(f'"{k}": {json.dumps(v)}')
-    return "{" + ", ".join(parts) + "}"
+    row.update((field, getattr(s, field)) for field in STATS_FIELDS[:-2])
+    row.update(convention=convention, order=order)
+    return json_record(row)

@@ -51,4 +51,8 @@ def resolve_kernel(name_or_path: str) -> KernelSpec:
     if name_or_path in BUILTIN_KERNELS:
         return load_bundled(name_or_path)
     path = Path(name_or_path)
-    return parse_kernel_text(path.read_text("ascii"), path.stem)
+    try:
+        text = path.read_text("ascii")
+    except UnicodeDecodeError as exc:
+        raise KernelFormatError(f"{path}: byte {exc.start} is not ASCII") from exc
+    return parse_kernel_text(text, path.stem)

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CurvePath
+from .core import CurvePath, KernelSpec
 
 DIVISOR_CONVENTIONS = ("divisor8", "neighbors")
 
@@ -51,6 +51,17 @@ DEFAULT_CONVENTION = "divisor8"
 
 #: Grid side behind the published tables' extreme values, per the scan.
 REFERENCE_SIDE = 256
+
+
+def reference_order(kernel: KernelSpec) -> int:
+    """Order at which a kernel's curve reaches the reference grid side."""
+    n = 1
+    side = kernel.side
+    while side < REFERENCE_SIDE:
+        side *= 2
+        n += 1
+    return n
+
 
 _NEIGHBOR_OFFSETS = tuple(
     (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
@@ -92,9 +103,6 @@ class DifferenceMap:
 
     def value(self, x: int, y: int) -> Fraction:
         return Fraction(int(self.numerators[x, y]), self.denominator)
-
-    def values_float(self) -> np.ndarray:
-        return self.numerators / float(self.denominator)
 
 
 def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: int = 0) -> DifferenceMap:

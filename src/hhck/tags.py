@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CurvePath, KernelSpec, STROKES, StrokeString, _walk
+from .core import CurvePath, KernelSpec, STROKES, _walk
 
 MORPHISM_IMAGES: dict[str, str] = {
     # image of "urdlabgt" under each operator
@@ -48,37 +48,9 @@ MORPHISM_IMAGES: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Morphism:
-    """A letterwise permutation of the stroke alphabet."""
-
-    name: str
-    image: str
-
-    def __post_init__(self) -> None:
-        if sorted(self.image) != sorted(STROKES):
-            raise ValueError(f"operator {self.name} is not a bijection: {self.image!r}")
-        object.__setattr__(self, "_table", str.maketrans(STROKES, self.image))
-
-    def apply(self, strokes: str) -> str:
-        return strokes.translate(self._table)
-
-    def __call__(self, strokes: str) -> str:
-        return self.apply(strokes)
-
-
-MORPHISMS: dict[str, Morphism] = {
-    name: Morphism(name, image) for name, image in MORPHISM_IMAGES.items()
+_MORPHISM_TABLES = {
+    name: str.maketrans(STROKES, image) for name, image in MORPHISM_IMAGES.items()
 }
-
-
-def apply_morphism(m: Morphism | str, s: StrokeString | str) -> StrokeString | str:
-    """Apply an operator letter by letter; length and origin unchanged."""
-    if isinstance(m, str):
-        m = MORPHISMS[m]
-    if isinstance(s, StrokeString):
-        return StrokeString(m.apply(s.strokes), s.origin)
-    return m.apply(s)
 
 
 Slot = tuple[str | None, bool]  # (operator name or None, overbar)
@@ -114,7 +86,7 @@ CONNECTORS = "urd"
 def _rewrite(rule: TagRule, w: str) -> str:
     parts = []
     for op, barred in rule.slots:
-        s = MORPHISMS[op].apply(w) if op else w
+        s = w.translate(_MORPHISM_TABLES[op]) if op else w
         parts.append(s[::-1] if barred else s)
     return parts[0] + "u" + parts[1] + "r" + parts[2] + "d" + parts[3]
 
@@ -129,23 +101,17 @@ def _expand_str(nu: int, n: int, w0: str) -> str:
     return _rewrite(rule, _expand_str(rule.base, n - 1, w0))
 
 
-def expand(nu: int, n: int, kernel_strokes: StrokeString | str) -> StrokeString | str:
+def expand(nu: int, n: int, kernel_strokes: str) -> str:
     """Grow a kernel stroke string to order n under variant nu.
 
     Each round turns a string of length L into one of length 4L + 3.
-    When given a StrokeString the result carries the origin that pins
-    the grown walk to its grid (generally not the kernel origin).
+    The result is unpinned; generate() places it on its grid.
     """
     if not 0 <= nu < len(TAG_RULES):
         raise ValueError(f"nu must be 0..{len(TAG_RULES) - 1}, got {nu}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if isinstance(kernel_strokes, str):
-        return _expand_str(nu, n, kernel_strokes)
-    s = _expand_str(nu, n, kernel_strokes.strokes)
-    pos = _walk(s, (0, 0))
-    shift = -pos.min(axis=0)
-    return StrokeString(s, (int(shift[0]), int(shift[1])))
+    return _expand_str(nu, n, kernel_strokes)
 
 
 def generate(nu: int, n: int, kernel: KernelSpec) -> CurvePath:

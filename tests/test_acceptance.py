@@ -22,6 +22,7 @@ from hhck.locality import (
     diff_stats,
     difference_map,
     dilation_factor,
+    reference_order,
 )
 from hhck.tags import generate
 
@@ -34,15 +35,6 @@ IMPROPER = range(6, 12)
 # published variant-4 map maxima of the mouse and frog tables
 # (MOUSE_MAX[4] and FROG_MAX[4] in scripts/find_kernels.py)
 PUBLISHED_V4_MAX = (25941, 25942)
-
-
-def reference_order(kernel) -> int:
-    n = 1
-    side = kernel.side
-    while side < REFERENCE_SIDE:
-        side *= 2
-        n += 1
-    return n
 
 
 def reference_map(nu: int, kernel):

@@ -43,22 +43,22 @@ class TestRuleSets:
 
     def test_variant_zero_first_map_transposes(self, unit):
         img = apply_affine(RULE_SETS[0].maps[0], unit.path)
-        assert img.cells.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
-        assert img.entry == (0, 0)
+        assert img.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
+        assert img[0].tolist() == [0, 0]
 
     def test_variant_zero_last_map_exits_lower_right(self, unit):
         img = apply_affine(RULE_SETS[0].maps[3], unit.path)
-        assert img.exit == (3, 0)
+        assert img[-1].tolist() == [3, 0]
 
     def test_identity_map_embeds_unchanged(self, unit):
         q = AffineMap(U_MATRICES["I"], T_VECTORS[0])
         img = apply_affine(q, unit.path)
-        assert img.cells.tolist() == unit.path.cells.tolist()
+        assert img.tolist() == unit.path.cells.tolist()
 
     def test_reversed_map_flips_traversal(self, unit):
         q = AffineMap(U_MATRICES["I"], T_VECTORS[0], reversed=True)
         img = apply_affine(q, unit.path)
-        assert img.cells.tolist() == unit.path.cells.tolist()[::-1]
+        assert img.tolist() == unit.path.cells.tolist()[::-1]
 
     def test_bad_matrix_rejected(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from hhck.locality import barrier_mask, diff_stats, difference_map
 from oracles import hilbert_d2xy
 
 BAD_KERNEL = "side 2\norigin 0 0\nstrokes rul\n"
+UNIT_KERNEL = "side 2\norigin 0 0\nstrokes urd\n"
 
 
 class TestFmt6:
@@ -238,6 +239,18 @@ class TestCliAnalysis:
         assert row == {"kernel": "unit", "side": 2,
                        "sha256": KERNEL_SHA256["unit"], "valid": True}
 
+    @pytest.mark.parametrize("command", ["dilation", "validate-kernel", "analyze"])
+    def test_kernel_path_with_quote_round_trips(self, capsys, tmp_path, command):
+        path = tmp_path / 'say "hi".kernel'
+        path.write_text(UNIT_KERNEL)
+        argv = [command, str(path)] if command == "validate-kernel" \
+            else [command, "--kernel", str(path), "--order", "2"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == cli.EXIT_OK
+        row = json.loads(out)
+        # validate-kernel names the kernel by its file stem
+        assert row["kernel"] == (path.stem if command == "validate-kernel" else str(path))
+
     def test_reproduce_tables_shape(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce-tables")
         assert code == cli.EXIT_OK
@@ -258,6 +271,13 @@ class TestCliFailures:
         assert code == cli.EXIT_KERNEL
         assert "BadEntryExit" in err
 
+    def test_non_ascii_kernel_file_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "accent.kernel"
+        bad.write_bytes("# caf\u00e9\n".encode("utf-8") + UNIT_KERNEL.encode("ascii"))
+        code, _, err = run_cli(capsys, "validate-kernel", str(bad))
+        assert code == cli.EXIT_KERNEL
+        assert "KernelFormatError" in err
+
     def test_missing_kernel_file_exits_four(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "validate-kernel", str(tmp_path / "nope.kernel"))
         assert code == cli.EXIT_IO
@@ -267,7 +287,7 @@ class TestCliFailures:
         code, _, _ = run_cli(capsys, "generate", "-o", str(target))
         assert code == cli.EXIT_IO
 
-    def test_backend_mismatch_exits_three(self, capsys, monkeypatch):
+    def test_backend_mismatch_exits_three(self, capsys, monkeypatch, tmp_path):
         true_tag = cli.BACKENDS["tag"]
 
         def corrupted(nu, order, kernel):
@@ -277,10 +297,11 @@ class TestCliFailures:
             return CurvePath(p.side, cells)
 
         monkeypatch.setitem(cli.BACKENDS, "tag", corrupted)
-        code, _, err = run_cli(capsys, "generate", "--order", "2",
-                               "--backend", "both")
-        assert code == cli.EXIT_MISMATCH
-        assert "step 5" in err
+        for extra in ([], ["--nu", "all", "-o", str(tmp_path)]):
+            code, _, err = run_cli(capsys, "generate", "--order", "2",
+                                   "--backend", "both", *extra)
+            assert code == cli.EXIT_MISMATCH, extra
+            assert "step 5" in err
 
     def test_mismatch_reported_from_run(self, monkeypatch, capsys):
         def stub(nu, order, kernel):
