@@ -23,6 +23,7 @@ from .core import (
     NotSpaceFilling,
     OutOfBounds,
     PointOutOfRange,
+    QuadrantEscape,
     RevisitedCell,
     STROKES,
     STROKE_VECTORS,

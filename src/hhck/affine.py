@@ -38,6 +38,7 @@ from .core import (
     IndexOutOfRange,
     KernelSpec,
     PointOutOfRange,
+    QuadrantEscape,
 )
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -124,7 +125,8 @@ def _apply_to_cells(q: AffineMap, cells: np.ndarray, side: int) -> np.ndarray:
     out = cells[:, src] * sign + offset
     qx, qy = q.quadrant(side)
     lo = np.array([qx * side, qy * side], dtype=np.int64)
-    assert ((out >= lo) & (out < lo + side)).all(), f"image of {q} escapes its quadrant"
+    if not ((out >= lo) & (out < lo + side)).all():
+        raise QuadrantEscape(f"image of {q} escapes its quadrant {(qx, qy)}")
     if q.reversed:
         out = out[::-1]
     return out

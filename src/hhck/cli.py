@@ -16,7 +16,7 @@ import numpy as np
 
 from . import affine, tags
 from .affine import N_VARIANTS
-from .core import CurveError, CurvePath
+from .core import CurveError, CurvePath, KernelSpec
 from .io import json_record, stats_record, write_barrier_ppm, write_curve_csv, \
     write_diffmap_csv, write_diffmap_pgm
 from .kernels import BUILTIN_KERNELS, kernel_checksum, resolve_kernel
@@ -28,6 +28,9 @@ EXIT_USAGE = 1
 EXIT_KERNEL = 2
 EXIT_MISMATCH = 3
 EXIT_IO = 4
+
+#: Most cells a curve may have: side 4096, 256 MiB of int64 cells.
+MAX_CELLS = 1 << 24
 
 COMMANDS = ("generate", "analyze", "dilation", "diffmap",
             "validate-kernel", "reproduce-tables")
@@ -102,9 +105,14 @@ def _check_job(job: JobSpec) -> None:
         raise UsageError("diffmap --format pgm needs --output (writes a PPM companion)")
 
 
-def _build_path(job: JobSpec, nu: int) -> CurvePath:
+def _build_path(job: JobSpec, nu: int, kernel: KernelSpec) -> CurvePath:
     """Build via the requested backend(s); both must agree exactly."""
-    kernel = resolve_kernel(job.kernel)
+    # 4**k exceeds MAX_CELLS once k reaches its bit length, so the clamp
+    # keeps the check exact without forming a huge integer
+    doublings = min(job.order - 1, MAX_CELLS.bit_length())
+    if kernel.side ** 2 * 4 ** doublings > MAX_CELLS:
+        raise UsageError(f"--order {job.order} on a side-{kernel.side} kernel exceeds "
+                         f"the budget of {MAX_CELLS} cells")
     if job.backend == "both":
         a = BACKENDS["affine"](nu, job.order, kernel)
         b = BACKENDS["tag"](nu, job.order, kernel)
@@ -127,22 +135,21 @@ def _emit(job: JobSpec, nu: int, out_path: Path | None) -> None:
             with open(target, "w", encoding="ascii", newline="\n") as fh:
                 write(fh)
 
+    kernel = resolve_kernel(job.kernel)
+    if job.command in ("generate", "analyze", "dilation", "diffmap"):
+        p = _build_path(job, nu, kernel)
     if job.command == "generate":
-        p = _build_path(job, nu)
-        deliver(lambda fh: write_curve_csv(fh, p, nu, job.order, job.kernel))
+        deliver(lambda fh: write_curve_csv(fh, p, nu, job.order, kernel.name))
     elif job.command == "analyze":
-        p = _build_path(job, nu)
         m = difference_map(p, convention=job.convention, order=job.order)
         rec = stats_record(diff_stats(m), job.convention, job.order,
                            extra={"nu": nu, "kernel": job.kernel})
         deliver(lambda fh: fh.write(rec + "\n"))
     elif job.command == "dilation":
-        p = _build_path(job, nu)
         rec = json_record({"nu": nu, "order": job.order, "kernel": job.kernel,
                            "sigma": dilation_factor(p)})
         deliver(lambda fh: fh.write(rec + "\n"))
     elif job.command == "diffmap":
-        p = _build_path(job, nu)
         m = difference_map(p, convention=job.convention, order=job.order)
         if job.format == "csv":
             deliver(lambda fh: write_diffmap_csv(fh, m))
@@ -151,12 +158,10 @@ def _emit(job: JobSpec, nu: int, out_path: Path | None) -> None:
             mask = barrier_mask(m)
             deliver(lambda fh: write_barrier_ppm(fh, m, mask), suffix=".barrier.ppm")
     elif job.command == "validate-kernel":
-        spec = resolve_kernel(job.kernel)
-        rec = json_record({"kernel": spec.name, "side": spec.side,
-                           "sha256": kernel_checksum(spec), "valid": True})
+        rec = json_record({"kernel": kernel.name, "side": kernel.side,
+                           "sha256": kernel_checksum(kernel), "valid": True})
         deliver(lambda fh: fh.write(rec + "\n"))
     elif job.command == "reproduce-tables":
-        kernel = resolve_kernel(job.kernel)
         order = reference_order(kernel)
         recs = []
         for k in range(N_VARIANTS):

@@ -86,6 +86,10 @@ class DiscontinuousJunction(CurveError):
     """Adjacent quadrant images of a grown curve do not meet."""
 
 
+class QuadrantEscape(CurveError):
+    """A quadrant map sends cells outside its own quadrant."""
+
+
 class IndexOutOfRange(CurveError):
     """Curve index outside 0 .. side*side - 1."""
 
@@ -132,7 +136,10 @@ class CurvePath:
             bad = np.argmax((cells < 0).any(axis=1) | (cells >= side).any(axis=1))
             raise OutOfBounds(f"cell {_pt(cells[bad])} at step {int(bad)} leaves the grid")
         flat = cells[:, 0] * side + cells[:, 1]
-        if len(np.unique(flat)) != len(flat):
+        # side*side cells in range: all marked iff none repeats
+        seen = np.zeros(side * side, dtype=bool)
+        seen[flat] = True
+        if not seen.all():
             order = np.argsort(flat, kind="stable")
             dup = np.nonzero(np.diff(flat[order]) == 0)[0]
             step = int(max(order[dup[0]], order[dup[0] + 1]))

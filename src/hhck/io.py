@@ -36,9 +36,23 @@ def fmt6(x) -> str:
     return f"{float(x):.6g}"
 
 
+def _escape_name(name: str) -> str:
+    """ASCII, comma-free form of a kernel name for the curve-CSV header.
+
+    Backslashes, control and non-ASCII characters take Python escape
+    sequences and commas become ``\\x2c``; printable ASCII names are
+    unchanged.
+    """
+    return name.encode("unicode_escape").decode("ascii").replace(",", r"\x2c")
+
+
+def _unescape_name(text: str) -> str:
+    return text.encode("ascii").decode("unicode_escape")
+
+
 def write_curve_csv(fh: IO[str], p: CurvePath, nu: int, order: int, kernel_name: str) -> None:
     """One header line `nu,n,kernel,side`, then one line `i,x,y` per step."""
-    fh.write(f"{nu},{order},{kernel_name},{p.side}\n")
+    fh.write(f"{nu},{order},{_escape_name(kernel_name)},{p.side}\n")
     for i, (x, y) in enumerate(p.cells.tolist()):
         fh.write(f"{i},{x},{y}\n")
 
@@ -49,7 +63,7 @@ def read_curve_csv(fh: IO[str]) -> tuple[dict, CurvePath]:
     if len(first) != 4:
         raise ValueError("curve CSV: bad header")
     head = {"nu": int(first[0]), "n": int(first[1]),
-            "kernel": first[2], "side": int(first[3])}
+            "kernel": _unescape_name(first[2]), "side": int(first[3])}
     cells = []
     for line in fh:
         line = line.strip()
@@ -62,13 +76,21 @@ def read_curve_csv(fh: IO[str]) -> tuple[dict, CurvePath]:
     return head, CurvePath(head["side"], np.array(cells, dtype=np.int64))
 
 
-def write_diffmap_csv(fh: IO[str], m: DifferenceMap) -> None:
-    """Grid of map values, top row first, columns left to right."""
-    den = m.denominator
-    for y in range(m.side - 1, -1, -1):
-        row = m.numerators[:, y]
-        fh.write(",".join(fmt6(Fraction(int(n), den)) for n in row))
+def _write_rows(fh: IO[str], text: np.ndarray, sep: str) -> None:
+    """Write a [x, y] grid of cell strings, top row first, columns left to right."""
+    for row in text.T[::-1].tolist():
+        fh.write(sep.join(row))
         fh.write("\n")
+
+
+def write_diffmap_csv(fh: IO[str], m: DifferenceMap) -> None:
+    """Grid of map values, top row first, columns left to right.
+
+    Each distinct value is rendered once through fmt6.
+    """
+    values, inverse = np.unique(m.numerators, return_inverse=True)
+    text = np.array([fmt6(Fraction(v, m.denominator)) for v in values.tolist()], dtype=object)
+    _write_rows(fh, text[inverse.reshape(m.numerators.shape)], ",")
 
 
 def _log_gray(m: DifferenceMap) -> np.ndarray:
@@ -81,29 +103,21 @@ def _log_gray(m: DifferenceMap) -> np.ndarray:
     return np.clip(g, 0, 255)
 
 
+# pixel text by gray level; the PPM's extra last entry is a barrier cell
+_PGM_PIXELS = np.array([str(v) for v in range(256)], dtype=object)
+_PPM_PIXELS = np.array([f"{v} {v} {v}" for v in range(256)] + ["0 0 255"], dtype=object)
+
+
 def write_diffmap_pgm(fh: IO[str], m: DifferenceMap) -> None:
     """Plain PGM (P2), log-scaled gray, top row first."""
-    g = _log_gray(m)
     fh.write(f"P2\n{m.side} {m.side}\n255\n")
-    for y in range(m.side - 1, -1, -1):
-        fh.write(" ".join(str(int(v)) for v in g[:, y]))
-        fh.write("\n")
+    _write_rows(fh, _PGM_PIXELS[_log_gray(m)], " ")
 
 
 def write_barrier_ppm(fh: IO[str], m: DifferenceMap, mask: BarrierMask) -> None:
     """Plain PPM (P3): the PGM rendering with barrier cells in blue."""
-    g = _log_gray(m)
     fh.write(f"P3\n{m.side} {m.side}\n255\n")
-    for y in range(m.side - 1, -1, -1):
-        parts = []
-        for x in range(m.side):
-            if mask.flags[x, y]:
-                parts.append("0 0 255")
-            else:
-                v = int(g[x, y])
-                parts.append(f"{v} {v} {v}")
-        fh.write(" ".join(parts))
-        fh.write("\n")
+    _write_rows(fh, _PPM_PIXELS[np.where(mask.flags, 256, _log_gray(m))], " ")
 
 
 STATS_FIELDS = ("mean", "max", "min", "median", "entropy_bits", "pct_below_mean",

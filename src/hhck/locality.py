@@ -63,6 +63,9 @@ def reference_order(kernel: KernelSpec) -> int:
     return n
 
 
+# exclusive bound of int64, for barrier_mask's choice of arithmetic
+_INT64_LIMIT = 2 ** 63
+
 _NEIGHBOR_OFFSETS = tuple(
     (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
 )
@@ -186,17 +189,27 @@ def barrier_mask(m: DifferenceMap) -> BarrierMask:
     The threshold involves a square root, so the comparison is done on
     integers: v > mu + s  iff  v > mu and (v - mu)^2 > variance, and
     with v = a/D, mu = A/(D*N) the denominators cancel, leaving
-    (a*N - A)^2 > N * sum(a^2) - A^2.
+    a*N - A > isqrt(N * sum(a^2) - A^2).  The left side is an int64
+    array whenever the map's largest magnitude keeps a*N, A and a^2
+    below 2^63; larger maps take python ints.
     """
     flat = m.numerators.ravel()
     n = len(flat)
-    a_sum = int(flat.sum())
-    sq_sum = sum(int(v) * int(v) for v in flat)  # python ints: no overflow
-    rhs = n * sq_sum - a_sum * a_sum
-    t = flat.astype(object) * n - a_sum
-    root = math.isqrt(rhs)
-    flags = np.array([int(v) > root for v in t], dtype=bool).reshape(m.numerators.shape)
-    return BarrierMask(m.side, flags)
+    top = max(int(flat.max()), -int(flat.min()))
+    if top * top < _INT64_LIMIT and top * n < _INT64_LIMIT:
+        a_sum = int(flat.sum())
+        # int64 partial sums over chunks small enough to stay below 2^63,
+        # added as python ints
+        chunk = (_INT64_LIMIT - 1) // max(top * top, 1)
+        sq_sum = sum(np.add.reduceat(flat * flat, np.arange(0, n, chunk)).tolist())
+        t = flat * n - a_sum
+    else:
+        values = flat.tolist()
+        a_sum = sum(values)
+        sq_sum = sum(v * v for v in values)
+        t = flat.astype(object) * n - a_sum
+    root = math.isqrt(n * sq_sum - a_sum * a_sum)
+    return BarrierMask(m.side, (t > root).reshape(m.numerators.shape))
 
 
 def boundary_profile(m: DifferenceMap) -> list[Fraction]:

@@ -104,3 +104,55 @@ def brute_stats(values) -> dict:
         "entropy_bits": entropy,
         "pct_below_mean": Fraction(100 * below, n),
     }
+
+
+def brute_diffmap_csv(numerators, den: int) -> str:
+    """Difference-map CSV built one Fraction per cell, top row first."""
+    side = len(numerators)
+    lines = []
+    for y in range(side - 1, -1, -1):
+        cells = []
+        for x in range(side):
+            v = Fraction(int(numerators[x][y]), den)
+            cells.append(str(v.numerator) if v.denominator == 1 else "%.6g" % float(v))
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+def brute_pgm(gray) -> str:
+    """Plain PGM of a [x][y] gray-level grid, one pixel at a time."""
+    side = len(gray)
+    text = "P2\n%d %d\n255\n" % (side, side)
+    for y in range(side - 1, -1, -1):
+        row = ""
+        for x in range(side):
+            row += ("" if x == 0 else " ") + str(int(gray[x][y]))
+        text += row + "\n"
+    return text
+
+
+def brute_ppm(gray, flags) -> str:
+    """Plain PPM of a gray grid with flagged pixels blue, one pixel at a time."""
+    side = len(gray)
+    text = "P3\n%d %d\n255\n" % (side, side)
+    for y in range(side - 1, -1, -1):
+        pixels = []
+        for x in range(side):
+            g = int(gray[x][y])
+            pixels.append("0 0 255" if flags[x][y] else "%d %d %d" % (g, g, g))
+        text += " ".join(pixels) + "\n"
+    return text
+
+
+def brute_barrier(numerators) -> set[tuple[int, int]]:
+    """Cells above mean + population standard deviation, in exact Fractions.
+
+    Works on the numerators alone: a common denominator scales the
+    value, the mean and the deviation alike.
+    """
+    vals = {(x, y): Fraction(int(v))
+            for x, column in enumerate(numerators) for y, v in enumerate(column)}
+    n = len(vals)
+    mean = sum(vals.values(), Fraction(0)) / n
+    var = sum(((v - mean) ** 2 for v in vals.values()), Fraction(0)) / n
+    return {c for c, v in vals.items() if v > mean and (v - mean) ** 2 > var}

@@ -19,6 +19,7 @@ from hhck.core import (
     AXIAL_STROKES,
     IndexOutOfRange,
     PointOutOfRange,
+    QuadrantEscape,
     path_to_strokes,
 )
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
@@ -59,6 +60,13 @@ class TestRuleSets:
         q = AffineMap(U_MATRICES["I"], T_VECTORS[0], reversed=True)
         img = apply_affine(q, unit.path)
         assert img.tolist() == unit.path.cells.tolist()[::-1]
+
+    def test_image_outside_its_quadrant_raises(self, monkeypatch, unit):
+        # every map claims the upper-right quadrant; variant 0's first
+        # image lies in the lower-left one
+        monkeypatch.setattr(AffineMap, "quadrant", lambda self, side: (1, 1))
+        with pytest.raises(QuadrantEscape, match="escapes its quadrant"):
+            grow_once(0, unit.path)
 
     def test_bad_matrix_rejected(self):
         with pytest.raises(ValueError):

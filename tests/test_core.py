@@ -135,6 +135,10 @@ class TestCurvePathValidation:
         with pytest.raises(RevisitedCell):
             CurvePath(2, np.array([[0, 0], [0, 1], [1, 1], [0, 0]]))
 
+    def test_revisit_reports_first_repeat(self):
+        with pytest.raises(RevisitedCell, match=r"cell \(0, 1\) revisited at step 3"):
+            CurvePath(2, np.array([[0, 0], [0, 1], [1, 1], [0, 1]]))
+
     def test_jump(self):
         with pytest.raises(NonAdjacentStep):
             CurvePath(4, np.array(

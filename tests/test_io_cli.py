@@ -10,6 +10,7 @@ from hhck.affine import build_curve
 from hhck.core import CurvePath
 from hhck.io import (
     STATS_FIELDS,
+    _log_gray,
     fmt6,
     read_curve_csv,
     stats_record,
@@ -18,10 +19,11 @@ from hhck.io import (
     write_diffmap_csv,
     write_diffmap_pgm,
 )
-from hhck.kernels import KERNEL_SHA256
-from hhck.locality import barrier_mask, diff_stats, difference_map
+from hhck.kernels import KERNEL_SHA256, load_bundled
+from hhck.locality import DIVISOR_CONVENTIONS, DifferenceMap, barrier_mask, diff_stats, \
+    difference_map
 
-from oracles import hilbert_d2xy
+from oracles import brute_diffmap_csv, brute_pgm, brute_ppm, hilbert_d2xy
 
 BAD_KERNEL = "side 2\norigin 0 0\nstrokes rul\n"
 UNIT_KERNEL = "side 2\norigin 0 0\nstrokes urd\n"
@@ -72,6 +74,15 @@ class TestCurveCsv:
         head, q = read_curve_csv(buf)
         assert head == {"nu": 9, "n": 2, "kernel": "mouse", "side": 8}
         assert q == p
+
+    @pytest.mark.parametrize("name", ["a,b", "back\\slash", "caf\u00e9", "tab\tand\nline"])
+    def test_kernel_name_escaped_and_restored(self, unit, name):
+        buf = _io.StringIO()
+        write_curve_csv(buf, unit.path, 0, 1, name)
+        header = buf.getvalue().splitlines()[0]
+        assert header.isascii() and header.count(",") == 3
+        buf.seek(0)
+        assert read_curve_csv(buf)[0]["kernel"] == name
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
@@ -124,6 +135,36 @@ class TestPgmPpm:
         triples = list(zip(vals[0::3], vals[1::3], vals[2::3]))
         assert len(triples) == 256
         assert triples.count((0, 0, 255)) == int(mask.flags.sum())
+
+
+def render(write, *args) -> str:
+    buf = _io.StringIO()
+    write(buf, *args)
+    return buf.getvalue()
+
+
+class TestWritersMatchReference:
+    @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
+    @pytest.mark.parametrize("name,order", [("unit", 5), ("mouse", 3), ("frog", 3)])
+    def test_bundled_kernels(self, name, order, convention):
+        kernel = load_bundled(name)
+        for nu in (0, 1, 4, 6, 9):
+            m = difference_map(build_curve(nu, order, kernel), convention, order)
+            gray = _log_gray(m)
+            mask = barrier_mask(m)
+            assert mask.flags.any()
+            assert render(write_diffmap_csv, m) == brute_diffmap_csv(m.numerators, m.denominator)
+            assert render(write_diffmap_pgm, m) == brute_pgm(gray)
+            assert render(write_barrier_ppm, m, mask) == brute_ppm(gray, mask.flags)
+
+    def test_csv_values_of_a_million_and_more(self):
+        # 1000000 and 1000001 are integers, so fmt6 prints every digit;
+        # 1000000.5 is not, and %.6g rounds it
+        num = np.array([[8_000_000, 8_000_004], [8_000_008, 80_000_000_000]])
+        m = DifferenceMap(2, num, 8, "divisor8", 0)
+        text = render(write_diffmap_csv, m)
+        assert text == "1e+06,10000000000\n1000000,1000001\n"
+        assert text == brute_diffmap_csv(num, 8)
 
 
 class TestStatsRecord:
@@ -201,6 +242,40 @@ class TestCliGenerate:
             assert code == cli.EXIT_OK
         for f in sorted(dirs[0].iterdir()):
             assert f.read_bytes() == (dirs[1] / f.name).read_bytes()
+
+    @pytest.mark.parametrize("stem", ["a,b", "caf\u00e9"])
+    def test_kernel_file_name_in_header_reads_back(self, capsys, tmp_path, stem):
+        kernel_file = tmp_path / f"{stem}.kernel"
+        kernel_file.write_text(UNIT_KERNEL)
+        target = tmp_path / "c.csv"
+        code, _, _ = run_cli(capsys, "generate", "--kernel", str(kernel_file),
+                             "--order", "2", "-o", str(target))
+        assert code == cli.EXIT_OK
+        with open(target, encoding="ascii") as fh:
+            head, p = read_curve_csv(fh)
+        assert head == {"nu": 0, "n": 2, "kernel": stem, "side": 4}
+        assert p == build_curve(0, 2, load_bundled("unit"))
+
+    def test_order_over_cell_budget_exits_one_before_building(self, capsys, monkeypatch):
+        def refuse(nu, order, kernel):
+            raise AssertionError("built a curve over the cell budget")
+
+        for backend in ("affine", "tag"):
+            monkeypatch.setitem(cli.BACKENDS, backend, refuse)
+        for argv in (["generate", "--order", "20"],
+                     ["analyze", "--order", "13", "--backend", "both"],
+                     ["diffmap", "--kernel", "mouse", "--order", "12"],
+                     ["dilation", "--order", "99999999999"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == cli.EXIT_USAGE, argv
+            assert out == "" and "cells" in err
+
+    def test_cell_budget_admits_its_largest_curve(self, monkeypatch, unit):
+        # order 12 on the unit kernel is side 4096, exactly MAX_CELLS cells
+        monkeypatch.setitem(cli.BACKENDS, "affine", lambda nu, order, kernel: (nu, order))
+        job = cli.JobSpec(command="generate", order=12)
+        assert cli.MAX_CELLS == 4096 ** 2
+        assert cli._build_path(job, 0, unit) == (0, 12)
 
 
 class TestCliAnalysis:

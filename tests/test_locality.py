@@ -13,6 +13,7 @@ from hhck.locality import (
     DIVISOR_CONVENTIONS,
     REFERENCE_SIDE,
     BarrierMask,
+    DifferenceMap,
     barrier_mask,
     boundary_profile,
     boundary_run_fraction,
@@ -21,7 +22,7 @@ from hhck.locality import (
     dilation_factor,
 )
 
-from oracles import brute_diff_values, brute_dilation, brute_stats
+from oracles import brute_barrier, brute_diff_values, brute_dilation, brute_stats
 
 
 class TestModuleConstants:
@@ -144,16 +145,39 @@ class TestBarrier:
     @given(nu=st.integers(0, 11))
     @settings(max_examples=12)
     def test_threshold_matches_exact_arithmetic(self, unit, nu):
-        p = build_curve(nu, 3, unit)
-        m = difference_map(p)
-        mask = barrier_mask(m)
-        vals = {(x, y): m.value(x, y) for x in range(p.side) for y in range(p.side)}
-        n = len(vals)
-        mu = sum(vals.values(), Fraction(0)) / n
-        var = sum((v - mu) ** 2 for v in vals.values()) / n
-        for (x, y), v in vals.items():
-            want = v > mu and (v - mu) ** 2 > var
-            assert bool(mask.flags[x, y]) == want, (x, y)
+        m = difference_map(build_curve(nu, 3, unit))
+        flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
+        assert flagged == brute_barrier(m.numerators)
+
+    @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
+    @pytest.mark.parametrize("name,order", [("unit", 5), ("mouse", 3), ("frog", 3)])
+    def test_bundled_maps_match_reference(self, name, order, convention):
+        kernel = load_bundled(name)
+        for nu in (0, 1, 4, 6, 9):
+            m = difference_map(build_curve(nu, order, kernel), convention)
+            flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
+            assert flagged and flagged == brute_barrier(m.numerators)
+
+    @pytest.mark.parametrize("scale", [
+        1 << 24,   # a^2 < 2^62 fits int64, sum(a^2) needs chunks of one or two
+        1 << 56,   # a^2 overflows int64: python ints
+    ])
+    def test_large_numerators_match_reference(self, scale):
+        rng = np.random.default_rng(scale % 1009)
+        num = rng.integers(0, 64, (8, 8)) * scale
+        num[2, 5] = 127 * scale
+        m = DifferenceMap(8, num, 8, "divisor8", 0)
+        flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
+        assert (2, 5) in flagged
+        assert flagged == brute_barrier(num)
+
+    @given(st.lists(st.integers(0, (1 << 63) - 1), min_size=16, max_size=16))
+    @settings(max_examples=40)
+    def test_any_int64_map_matches_reference(self, values):
+        num = np.array(values, dtype=np.int64).reshape(4, 4)
+        m = DifferenceMap(4, num, 120, "neighbors", 0)
+        flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
+        assert flagged == brute_barrier(num)
 
     def test_flagged_fraction_small(self, unit):
         p = build_curve(0, 5, unit)
