@@ -2,6 +2,8 @@
 
 Writes one row per order with a sigma column per requested kernel,
 all for variant 0. Values use the same 6-digit rendering as the CLI.
+dilation_factor is a block-pair branch and bound, so orders up to 10
+(side 1024 on the unit kernel) run in seconds.
 
     python3 scripts/dilation_sweep.py --orders 1 6 > sweep.csv
 """

@@ -16,13 +16,11 @@ from .core import (
     DIAGONAL_STROKES,
     DiscontinuousJunction,
     GridPoint,
-    IndexOutOfRange,
     KernelFormatError,
     KernelSpec,
     NonAdjacentStep,
     NotSpaceFilling,
     OutOfBounds,
-    PointOutOfRange,
     QuadrantEscape,
     RevisitedCell,
     STROKES,
@@ -43,8 +41,6 @@ from .affine import (
     apply_affine,
     build_curve,
     grow_once,
-    index_to_xy,
-    xy_to_index,
 )
 from .tags import TAG_RULES, TagRule, expand
 from .tags import generate as tag_generate

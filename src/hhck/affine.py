@@ -35,9 +35,7 @@ from .core import (
     CurvePath,
     DiscontinuousJunction,
     GridPoint,
-    IndexOutOfRange,
     KernelSpec,
-    PointOutOfRange,
     QuadrantEscape,
 )
 
@@ -119,17 +117,9 @@ RULE_SETS: tuple[RuleSet, ...] = (
 
 N_VARIANTS = len(RULE_SETS)
 
-
-def _apply_to_cells(q: AffineMap, cells: np.ndarray, side: int) -> np.ndarray:
-    src, sign, offset = q.cell_transform(side)
-    out = cells[:, src] * sign + offset
-    qx, qy = q.quadrant(side)
-    lo = np.array([qx * side, qy * side], dtype=np.int64)
-    if not ((out >= lo) & (out < lo + side)).all():
-        raise QuadrantEscape(f"image of {q} escapes its quadrant {(qx, qy)}")
-    if q.reversed:
-        out = out[::-1]
-    return out
+#: (qx, qy) of the quadrant each map's image fills, in traversal order:
+#: lower-left, upper-left, upper-right, lower-right.
+TRAVERSAL_QUADRANTS: tuple[GridPoint, ...] = ((0, 0), (0, 1), (1, 1), (1, 0))
 
 
 def apply_affine(q: AffineMap, p: CurvePath) -> np.ndarray:
@@ -138,13 +128,27 @@ def apply_affine(q: AffineMap, p: CurvePath) -> np.ndarray:
     The (n, 2) array lies on the doubled grid and fills only the map's
     quadrant, so it is not a CurvePath.
     """
-    return _apply_to_cells(q, p.cells, p.side)
+    src, sign, offset = q.cell_transform(p.side)
+    out = p.cells[:, src] * sign + offset
+    return out[::-1] if q.reversed else out
 
 
 def grow_once(nu: int, p: CurvePath) -> CurvePath:
-    """One growth round: concatenate the four quadrant images."""
+    """One growth round: concatenate the four quadrant images.
+
+    Image i must fill traversal quadrant i, so the four images tile the
+    doubled grid.
+    """
     rule = RULE_SETS[nu]
-    images = [_apply_to_cells(q, p.cells, p.side) for q in rule.maps]
+    side = p.side
+    images = []
+    for i, (q, quad) in enumerate(zip(rule.maps, TRAVERSAL_QUADRANTS)):
+        img = apply_affine(q, p)
+        lo = side * np.array(quad)
+        if (img.min(axis=0) < lo).any() or (img.max(axis=0) >= lo + side).any():
+            raise QuadrantEscape(f"variant {nu}: image {i + 1} of {q} escapes"
+                                 f" traversal quadrant {quad}")
+        images.append(img)
     for i in range(3):
         tail, head = images[i][-1], images[i + 1][0]
         if int(np.abs(tail - head).max()) > 1:
@@ -152,7 +156,7 @@ def grow_once(nu: int, p: CurvePath) -> CurvePath:
                 f"variant {nu}: junction {i + 1} jumps from {(int(tail[0]), int(tail[1]))}"
                 f" to {(int(head[0]), int(head[1]))}"
             )
-    return CurvePath(2 * p.side, np.concatenate(images))
+    return CurvePath(2 * side, np.concatenate(images))
 
 
 @lru_cache(maxsize=256)
@@ -174,20 +178,3 @@ def build_curve(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
     if rule.base == 5 and n == 2:
         return build_curve(5, 2, kernel)
     return grow_once(nu, build_curve(rule.base, n - 1, kernel))
-
-
-def index_to_xy(nu: int, n: int, kernel: KernelSpec, i: int) -> GridPoint:
-    """Grid cell holding curve label i."""
-    p = build_curve(nu, n, kernel)
-    if not 0 <= i < len(p):
-        raise IndexOutOfRange(f"index {i} outside 0..{len(p) - 1}")
-    return p.point(i)
-
-
-def xy_to_index(nu: int, n: int, kernel: KernelSpec, pt: GridPoint) -> int:
-    """Curve label of a grid cell."""
-    p = build_curve(nu, n, kernel)
-    x, y = int(pt[0]), int(pt[1])
-    if not (0 <= x < p.side and 0 <= y < p.side):
-        raise PointOutOfRange(f"point {(x, y)} outside the {p.side}x{p.side} grid")
-    return int(p.label_grid()[x, y])

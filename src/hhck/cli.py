@@ -34,6 +34,8 @@ MAX_CELLS = 1 << 24
 
 COMMANDS = ("generate", "analyze", "dilation", "diffmap",
             "validate-kernel", "reproduce-tables")
+# commands that build the curve given by --nu, --order and --backend
+BUILDS = ("generate", "analyze", "dilation", "diffmap")
 
 # the both-backend check goes through this table so a test can corrupt
 # one side and watch the mismatch fire
@@ -85,7 +87,7 @@ def _check_job(job: JobSpec) -> None:
         raise UsageError(f"--backend must be affine, tag or both, got {job.backend!r}")
     if job.convention not in DIVISOR_CONVENTIONS:
         raise UsageError(f"--convention must be one of {DIVISOR_CONVENTIONS}")
-    if job.command in ("generate", "analyze", "diffmap", "dilation") and job.order < 1:
+    if job.command in BUILDS and job.order < 1:
         raise UsageError(f"--order must be >= 1, got {job.order}")
     allowed = {
         "generate": ("csv",),
@@ -105,14 +107,18 @@ def _check_job(job: JobSpec) -> None:
         raise UsageError("diffmap --format pgm needs --output (writes a PPM companion)")
 
 
-def _build_path(job: JobSpec, nu: int, kernel: KernelSpec) -> CurvePath:
-    """Build via the requested backend(s); both must agree exactly."""
+def _check_budget(job: JobSpec, kernel: KernelSpec) -> None:
+    """Refuse a curve of more than MAX_CELLS cells before building it."""
     # 4**k exceeds MAX_CELLS once k reaches its bit length, so the clamp
     # keeps the check exact without forming a huge integer
     doublings = min(job.order - 1, MAX_CELLS.bit_length())
     if kernel.side ** 2 * 4 ** doublings > MAX_CELLS:
         raise UsageError(f"--order {job.order} on a side-{kernel.side} kernel exceeds "
                          f"the budget of {MAX_CELLS} cells")
+
+
+def _build_path(job: JobSpec, nu: int, kernel: KernelSpec) -> CurvePath:
+    """Build via the requested backend(s); both must agree exactly."""
     if job.backend == "both":
         a = BACKENDS["affine"](nu, job.order, kernel)
         b = BACKENDS["tag"](nu, job.order, kernel)
@@ -124,7 +130,7 @@ def _build_path(job: JobSpec, nu: int, kernel: KernelSpec) -> CurvePath:
     return BACKENDS[job.backend](nu, job.order, kernel)
 
 
-def _emit(job: JobSpec, nu: int, out_path: Path | None) -> None:
+def _emit(job: JobSpec, nu: int, kernel: KernelSpec, out_path: Path | None) -> None:
     """Run one (command, nu) unit of work."""
 
     def deliver(write, suffix: str = "") -> None:
@@ -135,8 +141,7 @@ def _emit(job: JobSpec, nu: int, out_path: Path | None) -> None:
             with open(target, "w", encoding="ascii", newline="\n") as fh:
                 write(fh)
 
-    kernel = resolve_kernel(job.kernel)
-    if job.command in ("generate", "analyze", "dilation", "diffmap"):
+    if job.command in BUILDS:
         p = _build_path(job, nu, kernel)
     if job.command == "generate":
         deliver(lambda fh: write_curve_csv(fh, p, nu, job.order, kernel.name))
@@ -177,6 +182,10 @@ def run(job: JobSpec) -> int:
     try:
         _check_job(job)
         nus = _nu_values(job)
+        # both can fail, so they come before --nu all makes its directory
+        kernel = resolve_kernel(job.kernel)
+        if job.command in BUILDS:
+            _check_budget(job, kernel)
         if job.nu == "all":
             out_dir = Path(job.output)
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -186,7 +195,7 @@ def run(job: JobSpec) -> int:
         else:
             targets = [(nus[0], Path(job.output) if job.output else None)]
         for nu, target in targets:
-            _emit(job, nu, target)
+            _emit(job, nu, kernel, target)
         return EXIT_OK
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -55,7 +55,7 @@ def opposite(strokes: str) -> str:
 
 
 class CurveError(ValueError):
-    """Base class for path, kernel and lookup failures."""
+    """Base class for path and kernel failures."""
 
 
 class NotSpaceFilling(CurveError):
@@ -88,14 +88,6 @@ class DiscontinuousJunction(CurveError):
 
 class QuadrantEscape(CurveError):
     """A quadrant map sends cells outside its own quadrant."""
-
-
-class IndexOutOfRange(CurveError):
-    """Curve index outside 0 .. side*side - 1."""
-
-
-class PointOutOfRange(CurveError):
-    """Grid point outside the curve's grid."""
 
 
 class KernelFormatError(CurveError):

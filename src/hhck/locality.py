@@ -11,9 +11,22 @@ dilation factor is
 
 with squared Euclidean distance between cell centers.  Written this
 way (grid distance over index distance) the value is independent of
-the grid side.  The scan runs over index gaps in ascending order and
-stops once no remaining gap can beat the current best, because the
-squared grid distance is bounded by 2*(side-1)^2.
+the grid side.  It is found by branch and bound over index blocks.
+Every gap below G = 16 is scanned exactly first.  N = side^2 is a
+power of 4, so at every level L the blocks of 4^L consecutive cells
+tile the index range; a pyramid of their x/y bounding boxes is built
+from the cells themselves, assuming nothing about how the curve nests.
+For blocks I <= J at level L, every cell pair i in I, j in J is at most
+the largest squared distance d2 between the two boxes apart, and its
+gap is at least (J-I-1)*4^L + 1 (1 when I = J).  Gaps below G are
+already counted, so the block pair cannot beat the best ratio b when
+d2 <= b * max(smallest gap, G); it is dropped, as is a pair whose
+largest gap is below G.  Survivors split into their 16 child pairs
+(10 when I = J) down to single cells, where the ratio is exact; on the
+way the first cell of I and the last of J raise b.  Every prune and
+comparison is an integer cross-multiplication, in int64 while
+2*(side-1)^2 * N < 2^63 and in python ints beyond, so floats only
+choose which candidate to try and never decide the result.
 
 Difference maps.  The difference map assigns to every cell the mean
 absolute label difference with its existing king neighbors.  Border
@@ -63,32 +76,110 @@ def reference_order(kernel: KernelSpec) -> int:
     return n
 
 
-# exclusive bound of int64, for barrier_mask's choice of arithmetic
+# exclusive bound of int64, for the choice of arithmetic in
+# dilation_factor and barrier_mask
 _INT64_LIMIT = 2 ** 63
+
+# dilation_factor scans every index gap below this exactly
+_SEED_GAPS = 16
+# block pairs expanded at once; each has at most 16 children
+_CHUNK_PAIRS = 1 << 14
+# child offsets (a, b) of a block pair: block 4I+a against block 4J+b
+_CHILD_I = np.repeat(np.arange(4), 4)
+_CHILD_J = np.tile(np.arange(4), 4)
 
 _NEIGHBOR_OFFSETS = tuple(
     (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
 )
 
 
+def _raise_best(best: tuple[int, int], d2: np.ndarray, gap: np.ndarray) -> tuple[int, int]:
+    """The largest of best and the ratios d2/gap, as a (num, den) pair.
+
+    Only the cross-multiplied comparison decides: the float ratios pick
+    which strictly better pair to adopt next, so each round raises best
+    and the loop ends on the exact maximum.
+    """
+    bn, bd = best
+    while True:
+        better = d2 * bd > gap * bn
+        if not better.any():
+            return bn, bd
+        d2, gap = d2[better], gap[better]
+        k = int(np.argmax(d2 / gap))
+        bn, bd = int(d2[k]), int(gap[k])
+
+
+def _fold4(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """op over each run of 4 consecutive entries of a."""
+    return op(op(a[0::4], a[1::4]), op(a[2::4], a[3::4]))
+
+
 def dilation_factor(p: CurvePath) -> Fraction:
     """Worst ratio of squared grid distance to index distance, exact."""
-    xs = np.ascontiguousarray(p.cells[:, 0])
-    ys = np.ascontiguousarray(p.cells[:, 1])
-    n = len(xs)
-    d2_cap = 2 * (p.side - 1) ** 2
-    best = Fraction(0)
-    for gap in range(1, n):
-        # no pair at this gap or beyond can exceed d2_cap / gap
-        if best > 0 and gap * best.numerator >= d2_cap * best.denominator:
-            break
-        dx = xs[gap:] - xs[:-gap]
-        dy = ys[gap:] - ys[:-gap]
-        m = int((dx * dx + dy * dy).max())
-        cand = Fraction(m, gap)
-        if cand > best:
-            best = cand
-    return best
+    n = len(p)
+    if n < 2:
+        return Fraction(0)
+    # d2 <= 2*(side-1)^2 and every gap is below n, so each cross product
+    # is below 2*(side-1)^2*n; under cli.MAX_CELLS that is d2 < 2^25 times
+    # gap < 2^24, below 2^49.  Larger paths take python ints.
+    exact = np.int64 if 2 * (p.side - 1) ** 2 * n < _INT64_LIMIT else object
+    xs = p.cells[:, 0].astype(exact)
+    ys = p.cells[:, 1].astype(exact)
+
+    # every gap below the seed width, scanned exactly
+    seed = min(_SEED_GAPS, n)
+    tops = []
+    for g in range(1, seed):
+        dx, dy = xs[g:] - xs[:-g], ys[g:] - ys[:-g]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        tops.append(dx.max())
+    best = _raise_best((0, 1), np.array(tops, dtype=exact), np.arange(1, seed).astype(exact))
+
+    # level L holds the x/y min/max boxes of the n / 4^L blocks of 4^L
+    # consecutive cells; n is a power of 4, so the top level is one block
+    boxes = [(xs, xs, ys, ys)]
+    while len(boxes[-1][0]) > 1:
+        x0, x1, y0, y1 = boxes[-1]
+        boxes.append((_fold4(np.minimum, x0), _fold4(np.maximum, x1),
+                      _fold4(np.minimum, y0), _fold4(np.maximum, y1)))
+
+    # depth first over block pairs I <= J, a bounded chunk at a time
+    top = np.zeros(1, dtype=np.int64)
+    stack = [(len(boxes) - 1, top, top)]
+    while stack:
+        level, bi, bj = stack.pop()
+        level -= 1
+        ci = (4 * bi[:, None] + _CHILD_I).ravel()
+        cj = (4 * bj[:, None] + _CHILD_J).ravel()
+        keep = ci <= cj
+        ci, cj = ci[keep], cj[keep]
+        x0, x1, y0, y1 = boxes[level]
+        # largest squared distance between a cell of block I and one of J
+        dx = np.maximum(x1[cj] - x0[ci], x1[ci] - x0[cj])
+        dy = np.maximum(y1[cj] - y0[ci], y1[ci] - y0[cj])
+        d2 = dx * dx + dy * dy
+        span = (cj - ci).astype(exact, copy=False)
+        if level == 0:
+            best = _raise_best(best, d2, span)
+            continue
+        size = 4 ** level
+        # gaps below the seed width are done, so only gaps of at least
+        # max(smallest gap of the pair, seed) are left to bound
+        low = np.maximum((span - 1) * size + 1, _SEED_GAPS)
+        keep = (d2 * best[1] > low * best[0]) & ((span + 1) * size > _SEED_GAPS)
+        ci, cj, d2, low = ci[keep], cj[keep], d2[keep], low[keep]
+        # the first cell of I and the last of J are a realized pair
+        first, last = ci * size, (cj + 1) * size - 1
+        best = _raise_best(best, (xs[last] - xs[first]) ** 2 + (ys[last] - ys[first]) ** 2,
+                           (last - first).astype(exact, copy=False))
+        keep = d2 * best[1] > low * best[0]
+        ci, cj = ci[keep], cj[keep]
+        for k in range(0, len(ci), _CHUNK_PAIRS):
+            stack.append((level, ci[k:k + _CHUNK_PAIRS], cj[k:k + _CHUNK_PAIRS]))
+    return Fraction(*best)
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,17 +50,18 @@ def hilbert_xy2d(order: int, x: int, y: int) -> int:
 
 def brute_dilation(cells) -> Fraction:
     """All-pairs worst squared-distance over index-distance ratio."""
-    best = Fraction(0)
+    # best so far is num/den; d2/gap beats it iff d2*den > num*gap
+    num, den = 0, 1
     pts = [(int(x), int(y)) for x, y in cells]
     for i in range(len(pts)):
         xi, yi = pts[i]
         for j in range(i + 1, len(pts)):
             dx = pts[j][0] - xi
             dy = pts[j][1] - yi
-            r = Fraction(dx * dx + dy * dy, j - i)
-            if r > best:
-                best = r
-    return best
+            d2 = dx * dx + dy * dy
+            if d2 * den > num * (j - i):
+                num, den = d2, j - i
+    return Fraction(num, den)
 
 
 def brute_diff_values(cells, fixed8: bool) -> dict[tuple[int, int], Fraction]:

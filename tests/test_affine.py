@@ -1,28 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+from hhck import affine
 from hhck.affine import (
     AffineMap,
     N_VARIANTS,
     RULE_SETS,
     T_VECTORS,
     U_MATRICES,
+    RuleSet,
     apply_affine,
     build_curve,
     grow_once,
-    index_to_xy,
-    xy_to_index,
 )
-from hhck.core import (
-    AXIAL_STROKES,
-    IndexOutOfRange,
-    PointOutOfRange,
-    QuadrantEscape,
-    path_to_strokes,
-)
-from hhck.kernels import BUILTIN_KERNELS, load_bundled
+from hhck.core import AXIAL_STROKES, QuadrantEscape, path_to_strokes
 
 from oracles import hilbert_d2xy
 
@@ -62,10 +53,22 @@ class TestRuleSets:
         assert img.tolist() == unit.path.cells.tolist()[::-1]
 
     def test_image_outside_its_quadrant_raises(self, monkeypatch, unit):
-        # every map claims the upper-right quadrant; variant 0's first
-        # image lies in the lower-left one
-        monkeypatch.setattr(AffineMap, "quadrant", lambda self, side: (1, 1))
-        with pytest.raises(QuadrantEscape, match="escapes its quadrant"):
+        # variant 0 with its first two maps swapped: the first image
+        # lands upper-left, where traversal quadrant 1 is lower-left
+        m = RULE_SETS[0].maps
+        swapped = RuleSet(0, (m[1], m[0], m[2], m[3]), 0)
+        monkeypatch.setattr(affine, "RULE_SETS", (swapped,) + RULE_SETS[1:])
+        with pytest.raises(QuadrantEscape, match=r"image 1 .* escapes traversal quadrant \(0, 0\)"):
+            grow_once(0, unit.path)
+
+    def test_image_outside_the_doubled_grid_raises(self, monkeypatch, unit):
+        # t = (2, 1) sends the side-2 kernel to x = 4-5 on the side-4 grid
+        q = AffineMap(U_MATRICES["I"], (2, 1))
+        assert apply_affine(q, unit.path)[:, 0].tolist() == [4, 4, 5, 5]
+        m = RULE_SETS[0].maps
+        escaped = RuleSet(0, (m[0], m[1], m[2], q), 0)
+        monkeypatch.setattr(affine, "RULE_SETS", (escaped,) + RULE_SETS[1:])
+        with pytest.raises(QuadrantEscape, match=r"image 4 .* escapes traversal quadrant \(1, 0\)"):
             grow_once(0, unit.path)
 
     def test_bad_matrix_rejected(self):
@@ -159,23 +162,3 @@ class TestNesting:
             block[:, 1] %= half
             from hhck.core import CurvePath
             assert quadrant_blocks_nest(CurvePath(half, block))
-
-
-class TestIndexLookup:
-    def test_entry_and_exit(self, unit):
-        assert index_to_xy(0, 1, unit, 0) == (0, 0)
-        assert xy_to_index(0, 1, unit, (1, 0)) == 3
-
-    def test_range_errors(self, unit):
-        with pytest.raises(IndexOutOfRange):
-            index_to_xy(0, 2, unit, 16)
-        with pytest.raises(PointOutOfRange):
-            xy_to_index(0, 2, unit, (4, 0))
-
-    @given(st.integers(0, 11), st.integers(0, 255), st.sampled_from(BUILTIN_KERNELS))
-    def test_mutually_inverse(self, nu, i, name):
-        k = load_bundled(name)
-        n = 4 if k.side == 2 else 3
-        i = i % (k.side * 2 ** (n - 1)) ** 2
-        pt = index_to_xy(nu, n, k, i)
-        assert xy_to_index(nu, n, k, pt) == i

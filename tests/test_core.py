@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hhck.affine import build_curve
 from hhck.core import (
     AXIAL_STROKES,
     BadEntryExit,
@@ -149,6 +150,13 @@ class TestCurvePathValidation:
         p = make_path(UNIT_CELLS)
         with pytest.raises(ValueError):
             p.cells[0, 0] = 5
+
+    @given(st.integers(0, 11), st.integers(0, 255), st.sampled_from(BUILTIN_KERNELS))
+    def test_label_grid_inverts_point(self, nu, i, name):
+        k = load_bundled(name)
+        p = build_curve(nu, 4 if k.side == 2 else 3, k)
+        i %= len(p)
+        assert p.label_grid()[p.point(i)] == i
 
 
 class TestValidateKernel:

@@ -270,12 +270,26 @@ class TestCliGenerate:
             assert code == cli.EXIT_USAGE, argv
             assert out == "" and "cells" in err
 
-    def test_cell_budget_admits_its_largest_curve(self, monkeypatch, unit):
+    def test_cell_budget_admits_its_largest_curve(self, unit):
         # order 12 on the unit kernel is side 4096, exactly MAX_CELLS cells
-        monkeypatch.setitem(cli.BACKENDS, "affine", lambda nu, order, kernel: (nu, order))
-        job = cli.JobSpec(command="generate", order=12)
         assert cli.MAX_CELLS == 4096 ** 2
-        assert cli._build_path(job, 0, unit) == (0, 12)
+        cli._check_budget(cli.JobSpec(command="generate", order=12), unit)
+        with pytest.raises(cli.UsageError):
+            cli._check_budget(cli.JobSpec(command="generate", order=13), unit)
+
+    @pytest.mark.parametrize("argv,exit_code", [
+        (["--order", "20"], cli.EXIT_USAGE),
+        (["--kernel", "{bad}"], cli.EXIT_KERNEL),
+    ], ids=["over-budget", "bad-kernel"])
+    def test_fan_out_failing_before_any_build_leaves_no_directory(
+            self, capsys, tmp_path, argv, exit_code):
+        bad = tmp_path / "bad.kernel"
+        bad.write_text(BAD_KERNEL)
+        out_dir = tmp_path / "out"
+        argv = [str(bad) if a == "{bad}" else a for a in argv]
+        code, _, _ = run_cli(capsys, "generate", "--nu", "all", *argv, "-o", str(out_dir))
+        assert code == exit_code
+        assert not out_dir.exists()
 
 
 class TestCliAnalysis:

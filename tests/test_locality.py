@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhck import locality
 from hhck.affine import build_curve
+from hhck.core import reverse
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 from hhck.locality import (
     DEFAULT_CONVENTION,
@@ -32,6 +34,24 @@ class TestModuleConstants:
         assert REFERENCE_SIDE == 256
 
 
+# unit kernel, order 8 (side 256), variants 0..11, from the exhaustive
+# gap scan that preceded the block-pair bound (about 5 s per curve)
+ORDER8_UNIT_SIGMA = (
+    Fraction(16129, 2731),
+    Fraction(21675, 3641),
+    Fraction(21675, 3641),
+    Fraction(21675, 3641),
+    Fraction(21675, 3641),
+    Fraction(21675, 3641),
+    Fraction(16129, 2731),
+    Fraction(16129, 2731),
+    Fraction(16129, 2731),
+    Fraction(16129, 2731),
+    Fraction(16129, 2731),
+    Fraction(16129, 2731),
+)
+
+
 class TestDilation:
     def test_order_one(self, unit):
         assert dilation_factor(unit.path) == 1
@@ -47,6 +67,28 @@ class TestDilation:
     def test_matches_brute_force(self, nu, n, name):
         p = build_curve(nu, n, load_bundled(name))
         assert dilation_factor(p) == brute_dilation(p.cells)
+
+    @pytest.mark.parametrize("name,n", [
+        (name, n) for name in BUILTIN_KERNELS for n in range(1, 6)
+        if (load_bundled(name).side << (n - 1)) ** 2 <= 1024
+    ])
+    def test_every_variant_and_its_reverse_match_brute_force(self, name, n):
+        for nu in range(12):
+            p = build_curve(nu, n, load_bundled(name))
+            sigma = brute_dilation(p.cells)
+            assert dilation_factor(p) == sigma, nu
+            assert dilation_factor(reverse(p)) == sigma, nu
+
+    def test_python_int_fallback_matches_brute_force(self, monkeypatch, mouse):
+        # a limit this low sends every product through python ints
+        monkeypatch.setattr(locality, "_INT64_LIMIT", 2 ** 10)
+        for nu in (0, 3, 9):
+            p = build_curve(nu, 3, mouse)
+            assert dilation_factor(p) == brute_dilation(p.cells), nu
+
+    @pytest.mark.parametrize("nu", range(12))
+    def test_unit_order_eight(self, nu, unit):
+        assert dilation_factor(build_curve(nu, 8, unit)) == ORDER8_UNIT_SIGMA[nu]
 
 
 ORDER1_FIXED8 = {(0, 0): Fraction(3, 4), (0, 1): Fraction(1, 2),
