@@ -10,7 +10,6 @@ statistics, locality barriers and quadrant boundary profiles.
 from .core import (
     AXIAL_STROKES,
     BadEntryExit,
-    BrokenQuadrantConnectivity,
     CurveError,
     CurvePath,
     DIAGONAL_STROKES,

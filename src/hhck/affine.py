@@ -37,6 +37,7 @@ from .core import (
     GridPoint,
     KernelSpec,
     QuadrantEscape,
+    _grown_path,
 )
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -78,7 +79,7 @@ class AffineMap:
         return src, sign, offset
 
     def quadrant(self, side: int) -> tuple[int, int]:
-        """(qx, qy) of the image quadrant on the doubled grid, each 0 or 1."""
+        """(qx, qy): a side x side input maps onto the box with low corner side * (qx, qy)."""
         src, sign, offset = self.cell_transform(side)
         lo = np.minimum(offset, sign * (side - 1) + offset)
         return (int(lo[0]) // side, int(lo[1]) // side)
@@ -136,19 +137,20 @@ def apply_affine(q: AffineMap, p: CurvePath) -> np.ndarray:
 def grow_once(nu: int, p: CurvePath) -> CurvePath:
     """One growth round: concatenate the four quadrant images.
 
-    Image i must fill traversal quadrant i, so the four images tile the
-    doubled grid.
+    The result needs no cell-by-cell check.  Each map is an isometry of
+    the side x side grid, so image i is a bijection onto the box
+    q.quadrant(side), checked to be traversal quadrant i; the four
+    traversal quadrants tile the doubled grid; isometries and reversal
+    keep king adjacency; and the checked junctions join the images.
     """
     rule = RULE_SETS[nu]
     side = p.side
     images = []
     for i, (q, quad) in enumerate(zip(rule.maps, TRAVERSAL_QUADRANTS)):
-        img = apply_affine(q, p)
-        lo = side * np.array(quad)
-        if (img.min(axis=0) < lo).any() or (img.max(axis=0) >= lo + side).any():
+        if q.quadrant(side) != quad:
             raise QuadrantEscape(f"variant {nu}: image {i + 1} of {q} escapes"
                                  f" traversal quadrant {quad}")
-        images.append(img)
+        images.append(apply_affine(q, p))
     for i in range(3):
         tail, head = images[i][-1], images[i + 1][0]
         if int(np.abs(tail - head).max()) > 1:
@@ -156,7 +158,7 @@ def grow_once(nu: int, p: CurvePath) -> CurvePath:
                 f"variant {nu}: junction {i + 1} jumps from {(int(tail[0]), int(tail[1]))}"
                 f" to {(int(head[0]), int(head[1]))}"
             )
-    return CurvePath(2 * side, np.concatenate(images))
+    return _grown_path(2 * side, np.concatenate(images))
 
 
 @lru_cache(maxsize=256)

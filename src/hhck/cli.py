@@ -16,7 +16,7 @@ import numpy as np
 
 from . import affine, tags
 from .affine import N_VARIANTS
-from .core import CurveError, CurvePath, KernelSpec
+from .core import MAX_CELLS, CurveError, CurvePath, KernelSpec
 from .io import json_record, stats_record, write_barrier_ppm, write_curve_csv, \
     write_diffmap_csv, write_diffmap_pgm
 from .kernels import BUILTIN_KERNELS, kernel_checksum, resolve_kernel
@@ -28,9 +28,6 @@ EXIT_USAGE = 1
 EXIT_KERNEL = 2
 EXIT_MISMATCH = 3
 EXIT_IO = 4
-
-#: Most cells a curve may have: side 4096, 256 MiB of int64 cells.
-MAX_CELLS = 1 << 24
 
 COMMANDS = ("generate", "analyze", "dilation", "diffmap",
             "validate-kernel", "reproduce-tables")
@@ -148,10 +145,10 @@ def _emit(job: JobSpec, nu: int, kernel: KernelSpec, out_path: Path | None) -> N
     elif job.command == "analyze":
         m = difference_map(p, convention=job.convention, order=job.order)
         rec = stats_record(diff_stats(m), job.convention, job.order,
-                           extra={"nu": nu, "kernel": job.kernel})
+                           extra={"nu": nu, "kernel": kernel.name})
         deliver(lambda fh: fh.write(rec + "\n"))
     elif job.command == "dilation":
-        rec = json_record({"nu": nu, "order": job.order, "kernel": job.kernel,
+        rec = json_record({"nu": nu, "order": job.order, "kernel": kernel.name,
                            "sigma": dilation_factor(p)})
         deliver(lambda fh: fh.write(rec + "\n"))
     elif job.command == "diffmap":
@@ -173,7 +170,7 @@ def _emit(job: JobSpec, nu: int, kernel: KernelSpec, out_path: Path | None) -> N
             p = BACKENDS["affine"](k, order, kernel)
             m = difference_map(p, convention=job.convention, order=order)
             recs.append(stats_record(diff_stats(m), job.convention, order,
-                                     extra={"nu": k, "kernel": job.kernel}))
+                                     extra={"nu": k, "kernel": kernel.name}))
         deliver(lambda fh: fh.write("\n".join(recs) + "\n"))
 
 
@@ -190,7 +187,7 @@ def run(job: JobSpec) -> int:
             out_dir = Path(job.output)
             out_dir.mkdir(parents=True, exist_ok=True)
             ext = {"csv": "csv", "pgm": "pgm", "json-record": "json"}[job.format]
-            stem = f"{job.command}-{job.kernel}-n{job.order}"
+            stem = f"{job.command}-{kernel.name}-n{job.order}"
             targets = [(k, out_dir / f"{stem}-nu{k:02d}.{ext}") for k in nus]
         else:
             targets = [(nus[0], Path(job.output) if job.output else None)]

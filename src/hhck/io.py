@@ -27,12 +27,8 @@ def fmt6(x) -> str:
     """
     if isinstance(x, bool):
         raise TypeError("fmt6 expects a number")
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{float(x):.6g}"
+    if isinstance(x, (int, Fraction)) and x.denominator == 1:
+        return str(x.numerator)
     return f"{float(x):.6g}"
 
 

@@ -21,9 +21,12 @@ import hashlib
 from importlib import resources
 from pathlib import Path
 
-from ..core import KernelFormatError, KernelSpec, format_kernel_text, parse_kernel_text
+from ..core import MAX_CELLS, KernelFormatError, KernelSpec, format_kernel_text, parse_kernel_text
 
 BUILTIN_KERNELS = ("unit", "mouse", "frog")
+
+#: Longest kernel file read: the strokes of the largest kernel plus 64 KiB.
+MAX_KERNEL_BYTES = MAX_CELLS + (1 << 16)
 
 # sha256 of the canonical three-line kernel text
 KERNEL_SHA256 = {
@@ -51,8 +54,12 @@ def resolve_kernel(name_or_path: str) -> KernelSpec:
     if name_or_path in BUILTIN_KERNELS:
         return load_bundled(name_or_path)
     path = Path(name_or_path)
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_KERNEL_BYTES + 1)
+    if len(data) > MAX_KERNEL_BYTES:
+        raise KernelFormatError(f"{path}: longer than {MAX_KERNEL_BYTES} bytes")
     try:
-        text = path.read_text("ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise KernelFormatError(f"{path}: byte {exc.start} is not ASCII") from exc
     return parse_kernel_text(text, path.stem)

@@ -121,7 +121,7 @@ def dilation_factor(p: CurvePath) -> Fraction:
     if n < 2:
         return Fraction(0)
     # d2 <= 2*(side-1)^2 and every gap is below n, so each cross product
-    # is below 2*(side-1)^2*n; under cli.MAX_CELLS that is d2 < 2^25 times
+    # is below 2*(side-1)^2*n; under core.MAX_CELLS that is d2 < 2^25 times
     # gap < 2^24, below 2^49.  Larger paths take python ints.
     exact = np.int64 if 2 * (p.side - 1) ** 2 * n < _INT64_LIMIT else object
     xs = p.cells[:, 0].astype(exact)

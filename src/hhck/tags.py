@@ -80,9 +80,6 @@ TAG_RULES: tuple[TagRule, ...] = (
     TagRule(11, (("m", False), ("g", False), ("a", True), ("x", False)), 5),
 )
 
-CONNECTORS = "urd"
-
-
 def _rewrite(rule: TagRule, w: str) -> str:
     parts = []
     for op, barred in rule.slots:

@@ -48,6 +48,18 @@ def hilbert_xy2d(order: int, x: int, y: int) -> int:
     return d
 
 
+def is_space_filling_walk(side: int, cells) -> bool:
+    """Every cell of the side x side grid exactly once, one king step at a time."""
+    pts = [(int(x), int(y)) for x, y in cells]
+    grid = {(x, y) for x in range(side) for y in range(side)}
+    if len(pts) != len(grid) or set(pts) != grid:
+        return False
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if max(abs(x1 - x0), abs(y1 - y0)) != 1:
+            return False
+    return True
+
+
 def brute_dilation(cells) -> Fraction:
     """All-pairs worst squared-distance over index-distance ratio."""
     # best so far is num/den; d2/gap beats it iff d2*den > num*gap

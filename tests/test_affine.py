@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hhck import affine
+from hhck import affine, tags
 from hhck.affine import (
     AffineMap,
     N_VARIANTS,
@@ -13,9 +13,10 @@ from hhck.affine import (
     build_curve,
     grow_once,
 )
-from hhck.core import AXIAL_STROKES, QuadrantEscape, path_to_strokes
+from hhck.core import AXIAL_STROKES, CurvePath, DiscontinuousJunction, QuadrantEscape, \
+    format_kernel_text, parse_kernel_text, path_to_strokes
 
-from oracles import hilbert_d2xy
+from oracles import hilbert_d2xy, is_space_filling_walk
 
 
 class TestRuleSets:
@@ -69,6 +70,17 @@ class TestRuleSets:
         escaped = RuleSet(0, (m[0], m[1], m[2], q), 0)
         monkeypatch.setattr(affine, "RULE_SETS", (escaped,) + RULE_SETS[1:])
         with pytest.raises(QuadrantEscape, match=r"image 4 .* escapes traversal quadrant \(1, 0\)"):
+            grow_once(0, unit.path)
+
+    def test_junction_jump_raises(self, monkeypatch, unit):
+        # variant 0 with its fourth map reversed: the image stays in the
+        # lower-right quadrant but starts at the grid's exit corner
+        m = RULE_SETS[0].maps
+        flipped = AffineMap(m[3].u, m[3].t, reversed=True)
+        broken = RuleSet(0, (m[0], m[1], m[2], flipped), 0)
+        monkeypatch.setattr(affine, "RULE_SETS", (broken,) + RULE_SETS[1:])
+        with pytest.raises(DiscontinuousJunction,
+                           match=r"junction 3 jumps from \(3, 2\) to \(3, 0\)"):
             grow_once(0, unit.path)
 
     def test_bad_matrix_rejected(self):
@@ -128,6 +140,39 @@ class TestBuildCurve:
             for nu in range(12):
                 grow_once(nu, base)
 
+    def test_grown_curves_are_not_revalidated(self, monkeypatch, unit):
+        def refuse(self):
+            raise AssertionError("CurvePath re-validated a grown curve")
+
+        monkeypatch.setattr(CurvePath, "__post_init__", refuse)
+        order2 = grow_once(0, unit.path)
+        bases = {0: grow_once(0, order2), 5: grow_once(5, order2)}
+        for rule in RULE_SETS:
+            p = grow_once(rule.nu, bases[rule.base])
+            assert p.side == 16 and p.cells.shape == (256, 2)
+            assert p.cells.dtype == np.int64 and p.cells.flags.c_contiguous
+            assert not p.cells.flags.writeable
+
+    def test_kernel_validation_grows_nothing(self, monkeypatch, mouse):
+        def refuse(*args):
+            raise AssertionError("kernel validation ran a growth round")
+
+        monkeypatch.setattr(affine, "grow_once", refuse)
+        monkeypatch.setattr(affine, "apply_affine", refuse)
+        assert parse_kernel_text(format_kernel_text(mouse), "mouse") == mouse
+
+    @pytest.mark.parametrize("name", ["unit", "mouse", "frog"])
+    def test_trusted_curves_pass_the_oracle_and_match_tags(self, request, name):
+        # every affine curve of at most 1024 cells, checked independently
+        k = request.getfixturevalue(name)
+        for nu in range(N_VARIANTS):
+            n = 1
+            while (k.side << (n - 1)) ** 2 <= 1024:
+                p = build_curve(nu, n, k)
+                assert is_space_filling_walk(p.side, p.cells.tolist()), (nu, n)
+                assert p == tags.generate(nu, n, k), (nu, n)
+                n += 1
+
     def test_unit_curves_axial_only(self, unit):
         for nu in range(12):
             s = path_to_strokes(build_curve(nu, 3, unit))
@@ -160,5 +205,4 @@ class TestNesting:
             block = p.cells[q * n // 4:(q + 1) * n // 4].copy()
             block[:, 0] %= half
             block[:, 1] %= half
-            from hhck.core import CurvePath
             assert quadrant_blocks_nest(CurvePath(half, block))

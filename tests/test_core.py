@@ -211,6 +211,8 @@ class TestKernelText:
         "side 2\norigin 0 0\nstrokes urz\n",
         "origin 0 0\nside 2\nstrokes urd\n",
         "side two\norigin 0 0\nstrokes urd\n",
+        "side 2\norigin 2 0\nstrokes urd\n",        # origin outside the grid
+        "side 2\norigin 0 -1\nstrokes urd\n",
     ])
     def test_malformed(self, text):
         with pytest.raises(KernelFormatError):

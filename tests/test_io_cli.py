@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hhck import cli
+from hhck import cli, core, kernels
 from hhck.affine import build_curve
 from hhck.core import CurvePath
 from hhck.io import (
@@ -256,6 +256,16 @@ class TestCliGenerate:
         assert head == {"nu": 0, "n": 2, "kernel": stem, "side": 4}
         assert p == build_curve(0, 2, load_bundled("unit"))
 
+    def test_fan_out_names_files_by_kernel_name(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "kdir").mkdir()
+        (tmp_path / "kdir" / "my.kernel").write_text(UNIT_KERNEL)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, "generate", "--nu", "all", "--order", "2",
+                               "--kernel", "kdir/my.kernel", "-o", "out")
+        assert code == cli.EXIT_OK, err
+        names = sorted(f.name for f in (tmp_path / "out").iterdir())
+        assert names == [f"generate-my-n2-nu{k:02d}.csv" for k in range(12)]
+
     def test_order_over_cell_budget_exits_one_before_building(self, capsys, monkeypatch):
         def refuse(nu, order, kernel):
             raise AssertionError("built a curve over the cell budget")
@@ -337,8 +347,8 @@ class TestCliAnalysis:
         code, out, _ = run_cli(capsys, *argv)
         assert code == cli.EXIT_OK
         row = json.loads(out)
-        # validate-kernel names the kernel by its file stem
-        assert row["kernel"] == (path.stem if command == "validate-kernel" else str(path))
+        # every record names the kernel by its file stem
+        assert row["kernel"] == path.stem
 
     def test_reproduce_tables_shape(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce-tables")
@@ -366,6 +376,37 @@ class TestCliFailures:
         code, _, err = run_cli(capsys, "validate-kernel", str(bad))
         assert code == cli.EXIT_KERNEL
         assert "KernelFormatError" in err
+
+    @pytest.mark.parametrize("origin", [2 ** 63, 10 ** 23, -2 ** 70])
+    def test_huge_origin_exits_two(self, capsys, tmp_path, origin):
+        bad = tmp_path / "far.kernel"
+        bad.write_text(f"side 2\norigin {origin} 0\nstrokes urd\n")
+        code, _, err = run_cli(capsys, "validate-kernel", str(bad))
+        assert code == cli.EXIT_KERNEL
+        assert "KernelFormatError" in err and "Traceback" not in err
+
+    def test_kernel_side_over_cell_budget_exits_two_before_walking(
+            self, capsys, tmp_path, monkeypatch):
+        def refuse(s, side):
+            raise AssertionError("walked a kernel over the cell budget")
+
+        monkeypatch.setattr(core, "strokes_to_path", refuse)
+        big = tmp_path / "big.kernel"
+        big.write_text("side 8192\norigin 0 0\nstrokes urd\n")
+        code, _, err = run_cli(capsys, "validate-kernel", str(big))
+        assert code == cli.EXIT_KERNEL
+        assert "cells" in err
+
+    def test_kernel_file_over_byte_cap_exits_two(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "long.kernel"
+        path.write_text("# note\n" * 10 + UNIT_KERNEL)
+        size = path.stat().st_size
+        monkeypatch.setattr(kernels, "MAX_KERNEL_BYTES", size)
+        assert run_cli(capsys, "validate-kernel", str(path))[0] == cli.EXIT_OK
+        monkeypatch.setattr(kernels, "MAX_KERNEL_BYTES", size - 1)
+        code, _, err = run_cli(capsys, "validate-kernel", str(path))
+        assert code == cli.EXIT_KERNEL
+        assert f"longer than {size - 1} bytes" in err
 
     def test_missing_kernel_file_exits_four(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "validate-kernel", str(tmp_path / "nope.kernel"))
