@@ -130,7 +130,15 @@ def apply_affine(q: AffineMap, p: CurvePath) -> np.ndarray:
     quadrant, so it is not a CurvePath.
     """
     src, sign, offset = q.cell_transform(p.side)
-    out = p.cells[:, src] * sign + offset
+    # column by column into C order: p.cells[:, src] would be Fortran
+    # order and cost a transposing copy later
+    out = np.empty_like(p.cells)
+    for axis in range(2):
+        col = p.cells[:, src[axis]]
+        if sign[axis] > 0:
+            np.add(col, offset[axis], out=out[:, axis])
+        else:
+            np.subtract(offset[axis], col, out=out[:, axis])
     return out[::-1] if q.reversed else out
 
 

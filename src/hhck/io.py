@@ -46,11 +46,19 @@ def _unescape_name(text: str) -> str:
     return text.encode("ascii").decode("unicode_escape")
 
 
+# rows of the curve CSV rendered and written at a time
+_CURVE_CSV_CHUNK = 1 << 14
+
+
 def write_curve_csv(fh: IO[str], p: CurvePath, nu: int, order: int, kernel_name: str) -> None:
     """One header line `nu,n,kernel,side`, then one line `i,x,y` per step."""
     fh.write(f"{nu},{order},{_escape_name(kernel_name)},{p.side}\n")
-    for i, (x, y) in enumerate(p.cells.tolist()):
-        fh.write(f"{i},{x},{y}\n")
+    for start in range(0, len(p.cells), _CURVE_CSV_CHUNK):
+        block = p.cells[start:start + _CURVE_CSV_CHUNK]
+        rows = np.empty((len(block), 3), dtype=np.int64)
+        rows[:, 0] = np.arange(start, start + len(block))
+        rows[:, 1:] = block
+        fh.write(("%d,%d,%d\n" * len(block)) % tuple(rows.ravel().tolist()))
 
 
 def read_curve_csv(fh: IO[str]) -> tuple[dict, CurvePath]:

@@ -115,5 +115,6 @@ def generate(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
     """The order-n curve of variant nu, built by string rewriting alone."""
     s = _expand_str(nu, n, kernel.strokes.strokes)
     pos = _walk(s, (0, 0))
-    pos -= pos.min(axis=0)
+    for col in pos.T:  # 1-D mins; pos.min(axis=0) reduces along the short axis
+        col -= col.min()
     return CurvePath(kernel.side * 2 ** (n - 1), pos)

@@ -60,6 +60,22 @@ def is_space_filling_walk(side: int, cells) -> bool:
     return True
 
 
+def brute_strokes(cells) -> str:
+    """Stroke letters of a king walk, one dict lookup per step."""
+    letter = {(0, 1): "u", (1, 0): "r", (0, -1): "d", (-1, 0): "l",
+              (1, 1): "a", (1, -1): "b", (-1, -1): "g", (-1, 1): "t"}
+    pts = [(int(x), int(y)) for x, y in cells]
+    return "".join(letter[(x1 - x0, y1 - y0)] for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
+
+
+def brute_curve_csv(nu: int, order: int, name_field: str, side: int, cells) -> str:
+    """Curve CSV text: the header, then one line per cell."""
+    text = "%d,%d,%s,%d\n" % (nu, order, name_field, side)
+    for i, (x, y) in enumerate(cells):
+        text += "%d,%d,%d\n" % (i, int(x), int(y))
+    return text
+
+
 def brute_dilation(cells) -> Fraction:
     """All-pairs worst squared-distance over index-distance ratio."""
     # best so far is num/den; d2/gap beats it iff d2*den > num*gap

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hhck.affine import build_curve
+from hhck.affine import N_VARIANTS, build_curve
 from hhck.core import (
     AXIAL_STROKES,
     BadEntryExit,
@@ -18,6 +18,7 @@ from hhck.core import (
     STROKES,
     STROKE_VECTORS,
     StrokeString,
+    _walk,
     format_kernel_text,
     opposite,
     parse_kernel_text,
@@ -28,7 +29,27 @@ from hhck.core import (
 )
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 
+from oracles import brute_strokes, is_space_filling_walk
+
 UNIT_CELLS = [(0, 0), (0, 1), (1, 1), (1, 0)]
+
+# 4x4 walks with one non-king step: columns 0 and 1, then a jump of
+# dx = +2 from (1, 0) to (3, 0)
+X_JUMP = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (1, 2), (1, 1), (1, 0),
+          (3, 0), (2, 0), (2, 1), (3, 1), (3, 2), (2, 2), (2, 3), (3, 3)]
+FIRST_JUMP = [(0, 0), (2, 0), (3, 0), (3, 1), (2, 1), (1, 0), (1, 1), (0, 1),
+              (0, 2), (0, 3), (1, 3), (1, 2), (2, 2), (2, 3), (3, 3), (3, 2)]
+
+
+def small_curves():
+    """Every affine curve of at most 1024 cells: (name, nu, n, path)."""
+    for name in BUILTIN_KERNELS:
+        k = load_bundled(name)
+        for nu in range(N_VARIANTS):
+            n = 1
+            while (k.side << (n - 1)) ** 2 <= 1024:
+                yield name, nu, n, build_curve(nu, n, k)
+                n += 1
 
 
 def make_path(cells):
@@ -97,6 +118,29 @@ class TestPathToStrokes:
         assert strokes_to_path(s, p.side) == p
 
 
+    @pytest.mark.parametrize("name", BUILTIN_KERNELS)
+    def test_matches_reference_on_every_small_curve(self, name):
+        for kname, nu, n, p in small_curves():
+            if kname != name:
+                continue
+            for q in (p, reverse(p)):
+                s = path_to_strokes(q)
+                assert s.strokes == brute_strokes(q.cells.tolist()), (nu, n)
+                assert s.origin == q.entry
+
+
+class TestWalk:
+    @given(st.text(alphabet=STROKES, max_size=200), st.integers(0, 63), st.integers(0, 63))
+    def test_running_sum(self, strokes, x0, y0):
+        want = [(x0, y0)]
+        for letter in strokes:
+            dx, dy = STROKE_VECTORS[letter]
+            want.append((want[-1][0] + dx, want[-1][1] + dy))
+        pos = _walk(strokes, (x0, y0))
+        assert pos.dtype == np.int64 and pos.flags.c_contiguous
+        assert [tuple(c) for c in pos.tolist()] == want
+
+
 class TestReverse:
     def test_cells_reversed(self):
         p = reverse(make_path(UNIT_CELLS))
@@ -141,10 +185,44 @@ class TestCurvePathValidation:
             CurvePath(2, np.array([[0, 0], [0, 1], [1, 1], [0, 1]]))
 
     def test_jump(self):
-        with pytest.raises(NonAdjacentStep):
+        with pytest.raises(NonAdjacentStep, match=r"^step 3 -> 4 jumps from \(3, 0\) to \(0, 2\)$"):
             CurvePath(4, np.array(
                 [[x, y] for y in range(4) for x in (range(4) if y % 2 == 0 else range(3, -1, -1))]
             )[np.r_[0:4, 8:12, 4:8, 12:16]])
+
+    @pytest.mark.parametrize("cells,error,message", [
+        (X_JUMP, NonAdjacentStep, "step 7 -> 8 jumps from (1, 0) to (3, 0)"),
+        ([(y, x) for x, y in X_JUMP], NonAdjacentStep, "step 7 -> 8 jumps from (0, 1) to (0, 3)"),
+        (X_JUMP[::-1], NonAdjacentStep, "step 7 -> 8 jumps from (3, 0) to (1, 0)"),
+        (FIRST_JUMP, NonAdjacentStep, "step 0 -> 1 jumps from (0, 0) to (2, 0)"),
+        (FIRST_JUMP[::-1], NonAdjacentStep, "step 14 -> 15 jumps from (2, 0) to (0, 0)"),
+        # the jump at step 7 comes first, but a revisit outranks it
+        (X_JUMP[:-1] + [(2, 2)], RevisitedCell, "cell (2, 2) revisited at step 15"),
+    ], ids=["x-only", "y-only", "negative", "first-step", "last-step", "revisit-and-jump"])
+    def test_step_check_names_the_first_failure(self, cells, error, message):
+        with pytest.raises(error) as info:
+            CurvePath(4, np.array(cells))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6),
+           st.integers(-3, 3), st.integers(-3, 3), st.booleans())
+    def test_check_agrees_with_reference_on_perturbed_curves(self, pick, i, j, dx, dy, swap):
+        curves = [c for c in small_curves() if len(c[3]) <= 256]
+        p = curves[pick % len(curves)][3]
+        cells = p.cells.copy()
+        i %= len(cells)
+        j %= len(cells)
+        if swap:
+            cells[[i, j]] = cells[[j, i]]
+        else:
+            cells[i] += (dx, dy)
+        try:
+            CurvePath(p.side, cells)
+            accepted = True
+        except NotSpaceFilling:
+            accepted = False
+        assert accepted == is_space_filling_walk(p.side, cells.tolist())
 
     def test_frozen_cells(self):
         p = make_path(UNIT_CELLS)

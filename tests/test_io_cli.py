@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hhck import cli, core, kernels
+from hhck import cli, core, io, kernels
 from hhck.affine import build_curve
 from hhck.core import CurvePath
 from hhck.io import (
@@ -23,7 +23,7 @@ from hhck.kernels import KERNEL_SHA256, load_bundled
 from hhck.locality import DIVISOR_CONVENTIONS, DifferenceMap, barrier_mask, diff_stats, \
     difference_map
 
-from oracles import brute_diffmap_csv, brute_pgm, brute_ppm, hilbert_d2xy
+from oracles import brute_curve_csv, brute_diffmap_csv, brute_pgm, brute_ppm, hilbert_d2xy
 
 BAD_KERNEL = "side 2\norigin 0 0\nstrokes rul\n"
 UNIT_KERNEL = "side 2\norigin 0 0\nstrokes urd\n"
@@ -83,6 +83,31 @@ class TestCurveCsv:
         assert header.isascii() and header.count(",") == 3
         buf.seek(0)
         assert read_curve_csv(buf)[0]["kernel"] == name
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("name,order", [("unit", 5), ("mouse", 4), ("frog", 3)])
+    def test_bundled_kernels_match_reference(self, monkeypatch, name, order, chunk):
+        # chunks of 1 and 7 rows cross chunk boundaries, 7 unevenly
+        monkeypatch.setattr(io, "_CURVE_CSV_CHUNK", chunk)
+        k = load_bundled(name)
+        for nu in (0, 1, 4, 6, 9):
+            p = build_curve(nu, order, k)
+            buf = _io.StringIO()
+            write_curve_csv(buf, p, nu, order, name)
+            assert buf.getvalue() == brute_curve_csv(nu, order, name, p.side, p.cells.tolist())
+
+    @pytest.mark.parametrize("name,field", [
+        ("a,b", r"a\x2cb"),
+        ("back\\slash", r"back\\slash"),
+        ("caf\u00e9", r"caf\xe9"),
+        ("tab\tand\nline", r"tab\tand\nline"),
+    ])
+    def test_escaped_names_match_reference(self, monkeypatch, mouse, name, field):
+        monkeypatch.setattr(io, "_CURVE_CSV_CHUNK", 5)
+        p = build_curve(2, 2, mouse)
+        buf = _io.StringIO()
+        write_curve_csv(buf, p, 2, 2, name)
+        assert buf.getvalue() == brute_curve_csv(2, 2, field, p.side, p.cells.tolist())
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
