@@ -151,6 +151,8 @@ def grow_once(nu: int, p: CurvePath) -> CurvePath:
     traversal quadrants tile the doubled grid; isometries and reversal
     keep king adjacency; and the checked junctions join the images.
     """
+    if not 0 <= nu < N_VARIANTS:
+        raise ValueError(f"nu must be 0..{N_VARIANTS - 1}, got {nu}")
     rule = RULE_SETS[nu]
     side = p.side
     images = []

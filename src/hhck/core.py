@@ -105,12 +105,43 @@ def _pt(row) -> tuple:
     return (int(row[0]), int(row[1]))
 
 
+def _raise_first_fault(side: int, cells: np.ndarray) -> None:
+    """Raise the earliest fault (see CurvePath) of cells that failed its check.
+
+    Revisits are sought only before the first cell outside the grid, by
+    a sort that multiplies nothing, so huge values cannot overflow.
+    """
+    x, y = cells[:, 0], cells[:, 1]
+    out = (x < 0) | (x >= side) | (y < 0) | (y >= side)
+    stop = int(np.argmax(out)) if out.any() else len(cells)
+    order = np.lexsort((y[:stop], x[:stop]))
+    xs, ys = x[order], y[order]
+    # the sort is stable, so the later step of each equal pair is a revisit
+    repeats = order[1:][(xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])]
+    if len(repeats):
+        step = int(repeats.min())
+        raise RevisitedCell(f"cell {_pt(cells[step])} revisited at step {step}")
+    if stop < len(cells):
+        raise OutOfBounds(f"cell {_pt(cells[stop])} at step {stop} leaves the {side}x{side} grid")
+    if len(cells) != side * side:
+        raise NotSpaceFilling(f"expected {side * side} cells for side {side}, got {len(cells)}")
+    bad = int(np.argmax((np.abs(np.diff(x)) > 1) | (np.abs(np.diff(y)) > 1)))
+    raise NonAdjacentStep(
+        f"step {bad} -> {bad + 1} jumps from {_pt(cells[bad])} to {_pt(cells[bad + 1])}"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CurvePath:
     """An ordered, space-filling, king-connected visit of a square grid.
 
     ``cells`` has shape (side*side, 2); row i is the (x, y) cell holding
     curve label i.  The array is validated and frozen at construction.
+    This is the one check of a cell sequence.  A sequence that fails it
+    raises its earliest fault in step order: the first cell that leaves
+    the grid (OutOfBounds) or revisits a cell (RevisitedCell), else a
+    wrong cell count (NotSpaceFilling), else the first step that is not
+    a king step (NonAdjacentStep).
     """
 
     side: int
@@ -123,31 +154,20 @@ class CurvePath:
         cells = np.ascontiguousarray(np.asarray(self.cells, dtype=np.int64))
         if cells.ndim != 2 or cells.shape[1] != 2:
             raise NotSpaceFilling("cells must be an (n, 2) array of grid points")
-        if len(cells) != side * side:
-            raise NotSpaceFilling(
-                f"expected {side * side} cells for side {side}, got {len(cells)}"
-            )
-        if cells.min() < 0 or cells.max() >= side:
-            bad = np.argmax((cells < 0).any(axis=1) | (cells >= side).any(axis=1))
-            raise OutOfBounds(f"cell {_pt(cells[bad])} at step {int(bad)} leaves the grid")
-        flat = cells[:, 0] * side + cells[:, 1]
-        # side*side cells in range: all marked iff none repeats
-        seen = np.zeros(side * side, dtype=bool)
-        seen[flat] = True
-        if not seen.all():
-            order = np.argsort(flat, kind="stable")
-            dup = np.nonzero(np.diff(flat[order]) == 0)[0]
-            step = int(max(order[dup[0]], order[dup[0] + 1]))
-            raise RevisitedCell(f"cell {_pt(cells[step])} revisited at step {step}")
-        # the raveled cells interleave x and y, so entries two apart differ
-        # by one step's dx or dy
-        coords = cells.ravel()
-        deltas = coords[2:] - coords[:-2]
-        if len(deltas) and (int(deltas.max()) > 1 or int(deltas.min()) < -1):
-            bad = int(np.argmax(np.abs(np.diff(cells, axis=0)).max(axis=1) > 1))
-            raise NonAdjacentStep(
-                f"step {bad} -> {bad + 1} jumps from {_pt(cells[bad])} to {_pt(cells[bad + 1])}"
-            )
+        ok = len(cells) == side * side and cells.min() >= 0 and cells.max() < side
+        if ok:
+            # side*side cells in range: all marked iff none repeats
+            seen = np.zeros(side * side, dtype=bool)
+            seen[cells[:, 0] * side + cells[:, 1]] = True
+            ok = bool(seen.all())
+        if ok:
+            # the raveled cells interleave x and y, so entries two apart
+            # differ by one step's dx or dy
+            coords = cells.ravel()
+            deltas = coords[2:] - coords[:-2]
+            ok = not len(deltas) or (int(deltas.max()) <= 1 and int(deltas.min()) >= -1)
+        if not ok:
+            _raise_first_fault(side, cells)
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
 
@@ -185,7 +205,7 @@ class CurvePath:
 
 
 def _grown_path(side: int, cells: np.ndarray) -> CurvePath:
-    """A CurvePath that its construction proved valid; skips ``__post_init__``."""
+    """A CurvePath its construction proved valid (grow_once, reverse); skips ``__post_init__``."""
     p = object.__new__(CurvePath)
     cells = np.ascontiguousarray(cells, dtype=np.int64)
     cells.flags.writeable = False
@@ -240,33 +260,8 @@ def _walk(strokes: str, origin: GridPoint) -> np.ndarray:
 
 
 def strokes_to_path(s: StrokeString, side: int) -> CurvePath:
-    """Materialize a stroke string as a space-filling path on a side x side grid.
-
-    Walk violations are reported in step order: the first cell that
-    leaves the grid raises OutOfBounds, the first repeated cell raises
-    RevisitedCell.  A walk of the wrong total length raises
-    NotSpaceFilling afterwards.
-    """
-    pos = _walk(s.strokes, s.origin)
-    oob = (pos < 0).any(axis=1) | (pos >= side).any(axis=1)
-    first_oob = int(np.argmax(oob)) if oob.any() else None
-    flat = pos[:, 0] * (2 * side + 3) + pos[:, 1]  # stride safe for out-of-grid coords too
-    order = np.argsort(flat, kind="stable")
-    dup = np.nonzero(np.diff(flat[order]) == 0)[0]
-    first_dup = None
-    if len(dup):
-        first_dup = int(min(max(order[i], order[i + 1]) for i in dup))
-    if first_oob is not None and (first_dup is None or first_oob <= first_dup):
-        raise OutOfBounds(
-            f"cell {_pt(pos[first_oob])} at step {first_oob} leaves the {side}x{side} grid"
-        )
-    if first_dup is not None:
-        raise RevisitedCell(f"cell {_pt(pos[first_dup])} revisited at step {first_dup}")
-    if len(pos) != side * side:
-        raise NotSpaceFilling(
-            f"{len(s.strokes)} strokes cover {len(pos)} cells, expected {side * side}"
-        )
-    return CurvePath(side, pos)
+    """Materialize a stroke string as a space-filling path on a side x side grid."""
+    return CurvePath(side, _walk(s.strokes, s.origin))
 
 
 def path_to_strokes(p: CurvePath) -> StrokeString:
@@ -277,7 +272,7 @@ def path_to_strokes(p: CurvePath) -> StrokeString:
 
 def reverse(p: CurvePath) -> CurvePath:
     """The same curve traversed end to start."""
-    return CurvePath(p.side, p.cells[::-1].copy())
+    return _grown_path(p.side, p.cells[::-1])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from fractions import Fraction
 from typing import IO
 
@@ -62,22 +63,25 @@ def write_curve_csv(fh: IO[str], p: CurvePath, nu: int, order: int, kernel_name:
 
 
 def read_curve_csv(fh: IO[str]) -> tuple[dict, CurvePath]:
-    """Inverse of write_curve_csv. Returns (header fields, path)."""
+    """Inverse of write_curve_csv. Returns (header fields, path).
+
+    Empty lines are skipped.  A malformed body raises ValueError: a row
+    that is not three int64 fields, a gap in the index, or a CurveError.
+    """
     first = fh.readline().strip().split(",")
     if len(first) != 4:
         raise ValueError("curve CSV: bad header")
     head = {"nu": int(first[0]), "n": int(first[1]),
             "kernel": _unescape_name(first[2]), "side": int(first[3])}
-    cells = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        i, x, y = (int(v) for v in line.split(","))
-        if i != len(cells):
-            raise ValueError(f"curve CSV: step {i} out of order")
-        cells.append((x, y))
-    return head, CurvePath(head["side"], np.array(cells, dtype=np.int64))
+    with warnings.catch_warnings():  # an empty body warns, then fails the shape check
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    if rows.shape[1] != 3:
+        raise ValueError("curve CSV: expected rows i,x,y")
+    gaps = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
+    if len(gaps):
+        raise ValueError(f"curve CSV: step {int(rows[gaps[0], 0])} out of order")
+    return head, CurvePath(head["side"], rows[:, 1:])
 
 
 def _write_rows(fh: IO[str], text: np.ndarray, sep: str) -> None:

@@ -60,6 +60,28 @@ def is_space_filling_walk(side: int, cells) -> bool:
     return True
 
 
+def first_fault(side: int, cells):
+    """(fault class name, step) of the earliest fault of a walk, or None.
+
+    One pass with a set finds the first cell outside the grid or already
+    seen; then the count is checked (its step is None); then each step.
+    """
+    pts = [(int(x), int(y)) for x, y in cells]
+    seen = set()
+    for i, pt in enumerate(pts):
+        if not (0 <= pt[0] < side and 0 <= pt[1] < side):
+            return "OutOfBounds", i
+        if pt in seen:
+            return "RevisitedCell", i
+        seen.add(pt)
+    if len(pts) != side * side:
+        return "NotSpaceFilling", None
+    for i in range(len(pts) - 1):
+        if max(abs(pts[i + 1][0] - pts[i][0]), abs(pts[i + 1][1] - pts[i][1])) != 1:
+            return "NonAdjacentStep", i
+    return None
+
+
 def brute_strokes(cells) -> str:
     """Stroke letters of a king walk, one dict lookup per step."""
     letter = {(0, 1): "u", (1, 0): "r", (0, -1): "d", (-1, 0): "l",

@@ -206,3 +206,16 @@ class TestNesting:
             block[:, 0] %= half
             block[:, 1] %= half
             assert quadrant_blocks_nest(CurvePath(half, block))
+
+
+@pytest.mark.parametrize("engine", [build_curve, tags.generate], ids=["affine", "tag"])
+@pytest.mark.parametrize("nu,n", [(-1, 3), (12, 3), (0, 0)], ids=["nu-1", "nu12", "n0"])
+def test_engines_reject_variant_or_order_out_of_range(engine, nu, n, unit):
+    with pytest.raises(ValueError, match="^(nu|order) must be"):
+        engine(nu, n, unit)
+
+
+@pytest.mark.parametrize("nu", [-1, 12])
+def test_grow_once_rejects_variant_out_of_range(nu, unit):
+    with pytest.raises(ValueError, match="^nu must be 0..11"):
+        grow_once(nu, unit.path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,7 +31,7 @@ from hhck.core import (
 )
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 
-from oracles import brute_strokes, is_space_filling_walk
+from oracles import brute_strokes, first_fault
 
 UNIT_CELLS = [(0, 0), (0, 1), (1, 1), (1, 0)]
 
@@ -39,6 +41,9 @@ X_JUMP = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (1, 2), (1, 1), (1, 0),
           (3, 0), (2, 0), (2, 1), (3, 1), (3, 2), (2, 2), (2, 3), (3, 3)]
 FIRST_JUMP = [(0, 0), (2, 0), (3, 0), (3, 1), (2, 1), (1, 0), (1, 1), (0, 1),
               (0, 2), (0, 3), (1, 3), (1, 2), (2, 2), (2, 3), (3, 3), (3, 2)]
+# 4x4 sequence that revisits (3, 3) at step 3 and (0, 0) at step 12
+TWO_REVISITS = [(0, 0), (0, 1), (3, 3), (3, 3), (1, 0), (1, 1), (1, 2), (1, 3),
+                (2, 0), (2, 1), (2, 2), (2, 3), (0, 0), (3, 0), (3, 1), (3, 2)]
 
 
 def small_curves():
@@ -50,6 +55,16 @@ def small_curves():
             while (k.side << (n - 1)) ** 2 <= 1024:
                 yield name, nu, n, build_curve(nu, n, k)
                 n += 1
+
+
+def raised_fault(make):
+    """(class name, step) of the NotSpaceFilling that make() raises, or None."""
+    try:
+        make()
+    except NotSpaceFilling as exc:
+        step = re.search(r"step (\d+)", str(exc))
+        return type(exc).__name__, int(step.group(1)) if step else None
+    return None
 
 
 def make_path(cells):
@@ -90,11 +105,12 @@ class TestStrokesToPath:
         assert p.cells.tolist() == [list(c) for c in UNIT_CELLS]
 
     def test_too_short(self):
-        with pytest.raises(NotSpaceFilling):
+        with pytest.raises(NotSpaceFilling, match=r"^expected 4 cells for side 2, got 2$"):
             strokes_to_path(StrokeString("a", (0, 0)), 2)
 
     def test_leaves_grid(self):
-        with pytest.raises(OutOfBounds):
+        # also too short: leaving the grid is named first
+        with pytest.raises(OutOfBounds, match=r"^cell \(0, 2\) at step 2 leaves the 2x2 grid$"):
             strokes_to_path(StrokeString("uu", (0, 0)), 2)
 
     def test_revisit(self):
@@ -104,6 +120,16 @@ class TestStrokesToPath:
     def test_bad_letter_rejected_at_construction(self):
         with pytest.raises(CurveError):
             StrokeString("urz", (0, 0))
+
+    @given(st.sampled_from([2, 4, 8]), st.text(alphabet=STROKES, max_size=64),
+           st.integers(0, 7), st.integers(0, 7))
+    def test_names_the_reference_fault(self, side, strokes, x0, y0):
+        pts = [(x0 % side, y0 % side)]
+        for letter in strokes:
+            dx, dy = STROKE_VECTORS[letter]
+            pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
+        s = StrokeString(strokes, pts[0])
+        assert raised_fault(lambda: strokes_to_path(s, side)) == first_fault(side, pts)
 
 
 class TestPathToStrokes:
@@ -198,7 +224,17 @@ class TestCurvePathValidation:
         (FIRST_JUMP[::-1], NonAdjacentStep, "step 14 -> 15 jumps from (2, 0) to (0, 0)"),
         # the jump at step 7 comes first, but a revisit outranks it
         (X_JUMP[:-1] + [(2, 2)], RevisitedCell, "cell (2, 2) revisited at step 15"),
-    ], ids=["x-only", "y-only", "negative", "first-step", "last-step", "revisit-and-jump"])
+        # the first revisit in step order, not the least repeated cell
+        (TWO_REVISITS, RevisitedCell, "cell (3, 3) revisited at step 3"),
+        # a cell leaving the grid at step 5 comes before the revisit at step 15
+        (X_JUMP[:5] + [(4, 1)] + X_JUMP[6:-1] + [(2, 2)], OutOfBounds,
+         "cell (4, 1) at step 5 leaves the 4x4 grid"),
+        (TWO_REVISITS[:5] + [(-1, 1)] + TWO_REVISITS[6:], RevisitedCell,
+         "cell (3, 3) revisited at step 3"),
+        # a short sequence: the count outranks the jump at step 7
+        (X_JUMP[:-1], NotSpaceFilling, "expected 16 cells for side 4, got 15"),
+    ], ids=["x-only", "y-only", "negative", "first-step", "last-step", "revisit-and-jump",
+            "two-revisits", "leave-then-revisit", "revisit-then-leave", "short-and-jump"])
     def test_step_check_names_the_first_failure(self, cells, error, message):
         with pytest.raises(error) as info:
             CurvePath(4, np.array(cells))
@@ -217,12 +253,23 @@ class TestCurvePathValidation:
             cells[[i, j]] = cells[[j, i]]
         else:
             cells[i] += (dx, dy)
-        try:
-            CurvePath(p.side, cells)
-            accepted = True
-        except NotSpaceFilling:
-            accepted = False
-        assert accepted == is_space_filling_walk(p.side, cells.tolist())
+        want = first_fault(p.side, cells.tolist())
+        assert raised_fault(lambda: CurvePath(p.side, cells)) == want
+
+    @pytest.mark.parametrize("side,cells,fault", [
+        # (2**62, 0) raveled with stride 4 wraps to 0, the index of (0, 0)
+        *((4, X_JUMP[:9] + [far] + X_JUMP[10:15] + [(0, 0)], ("OutOfBounds", 9))
+          for far in [(2 ** 62, 0), (0, 2 ** 62), (-2 ** 62, 3), (2 ** 63 - 1, -2 ** 63)]),
+        # (2**24, 0) raveled with stride 2**40 wraps to 0, the index of (0, 0)
+        (2 ** 40, [(0, 0), (2 ** 24, 0)], ("NotSpaceFilling", None)),
+        (2 ** 40, [(0, 0), (1, 2 ** 40 - 1), (0, 0)], ("RevisitedCell", 2)),
+        (2 ** 70, [(0, 0), (2 ** 62, 2 ** 62)], ("NotSpaceFilling", None)),
+        (2 ** 70, [(0, 0), (0, -1)], ("OutOfBounds", 1)),
+    ], ids=["x", "y", "negative", "int64-limits",
+            "count", "revisit", "side-past-int64", "leave-side-past-int64"])
+    def test_huge_values_without_overflow(self, side, cells, fault):
+        assert first_fault(side, cells) == fault
+        assert raised_fault(lambda: CurvePath(side, np.array(cells, dtype=np.int64))) == fault
 
     def test_frozen_cells(self):
         p = make_path(UNIT_CELLS)

@@ -1,5 +1,6 @@
 import io as _io
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +118,36 @@ class TestCurveCsv:
         text = "0,1,unit,2\n0,0,0\n2,0,1\n"
         with pytest.raises(ValueError, match="out of order"):
             read_curve_csv(_io.StringIO(text))
+
+    @pytest.mark.parametrize("body", [
+        "0,0\n1,0\n2,1\n3,1\n",
+        "0,0,0,0\n1,0,1,0\n2,1,1,0\n3,1,0,0\n",
+        "0,0,0\n1,0,1\n2,1,1.0\n3,1,0\n",
+        "0,0,0\n1,0,1\n#\n2,1,1\n3,1,0\n",
+        "0,0,0\n1,0,9223372036854775808\n2,1,1\n3,1,0\n",
+        "0,0,0\n1,0,1\n3,1,1\n4,1,0\n",
+        "",
+    ], ids=["two-fields", "four-fields", "non-integer", "hash", "past-int64", "index-gap",
+            "empty"])
+    def test_malformed_body_rejected_without_warning(self, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                read_curve_csv(_io.StringIO("0,1,unit,2\n" + body))
+
+    def test_blank_lines_skipped(self, unit):
+        text = "0,1,unit,2\n\n0,0,0\n1,0,1\n\n\n2,1,1\n3,1,0\n\n"
+        assert read_curve_csv(_io.StringIO(text))[1] == unit.path
+
+    @pytest.mark.parametrize("name,nu", [("unit", 0), ("mouse", 6), ("frog", 11)])
+    def test_order_eight_reads_back(self, name, nu):
+        p = build_curve(nu, 8, load_bundled(name))
+        buf = _io.StringIO()
+        write_curve_csv(buf, p, nu, 8, name)
+        buf.seek(0)
+        head, q = read_curve_csv(buf)
+        assert head == {"nu": nu, "n": 8, "kernel": name, "side": p.side}
+        assert q == p
 
 
 class TestDiffmapCsv:
