@@ -5,13 +5,10 @@ half of each column runs along the quadrant 2-3 crossing, the lower
 half along the 4-1 crossing; comparing the two halves shows which
 variants keep the top seam quiet.
 
-    python3 scripts/boundary_profiles.py --nu 0 1 3 8 9 10 > profiles.csv
+    PYTHONPATH=src python3 scripts/boundary_profiles.py --nu 0 1 3 8 9 10 > profiles.csv
 """
 
 import argparse
-import sys
-
-sys.path.insert(0, "src")
 
 from hhck.affine import build_curve
 from hhck.io import fmt6

@@ -5,13 +5,10 @@ all for variant 0. Values use the same 6-digit rendering as the CLI.
 dilation_factor is a block-pair branch and bound, so orders up to 10
 (side 1024 on the unit kernel) run in seconds.
 
-    python3 scripts/dilation_sweep.py --orders 1 6 > sweep.csv
+    PYTHONPATH=src python3 scripts/dilation_sweep.py --orders 1 6 > sweep.csv
 """
 
 import argparse
-import sys
-
-sys.path.insert(0, "src")
 
 from hhck.affine import build_curve
 from hhck.io import fmt6

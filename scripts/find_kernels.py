@@ -12,7 +12,7 @@ plus the per-variant map maxima (12 values each, matched within printed
 rounding).  Ties (mirror-symmetric seeds produce identical statistics) are
 broken by the lexicographically smallest stroke string.
 
-Usage: python scripts/find_kernels.py [--write-dir DIR]
+Usage: PYTHONPATH=src python scripts/find_kernels.py [--write-dir DIR]
 """
 
 from __future__ import annotations

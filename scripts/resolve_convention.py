@@ -15,7 +15,7 @@ setting does the mean column land anywhere near its published value,
 so divisor8/side-256 is locked as the documented default and the
 regression suite uses the fallback criteria.
 
-Run:  python3 scripts/resolve_convention.py [--orders 4 9]
+Run:  PYTHONPATH=src python3 scripts/resolve_convention.py [--orders 4 9]
 """
 
 from __future__ import annotations

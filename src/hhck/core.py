@@ -131,6 +131,20 @@ def _raise_first_fault(side: int, cells: np.ndarray) -> None:
     )
 
 
+def _exact_int64(side: int, cells: np.ndarray) -> np.ndarray:
+    """(n, 2) cells of another dtype as int64, refusing what a cast would truncate or wrap."""
+    if cells.dtype.kind not in "iu":
+        cells = cells.astype(object)
+        for i, v in enumerate(cells.flat):
+            if not isinstance(v, (int, np.integer)):
+                raise NotSpaceFilling(f"cell value {v!r} at step {i // 2} is not an int")
+    past = np.argwhere((cells < -2 ** 63) | (cells >= 2 ** 63))
+    if len(past):
+        step = int(past[0, 0])
+        raise OutOfBounds(f"cell {_pt(cells[step])} at step {step} leaves the {side}x{side} grid")
+    return cells.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class CurvePath:
     """An ordered, space-filling, king-connected visit of a square grid.
@@ -141,7 +155,8 @@ class CurvePath:
     raises its earliest fault in step order: the first cell that leaves
     the grid (OutOfBounds) or revisits a cell (RevisitedCell), else a
     wrong cell count (NotSpaceFilling), else the first step that is not
-    a king step (NonAdjacentStep).
+    a king step (NonAdjacentStep).  Before those, a cell that is not an
+    integer is refused, and one that int64 cannot hold is OutOfBounds.
     """
 
     side: int
@@ -151,9 +166,13 @@ class CurvePath:
         side = self.side
         if not isinstance(side, int) or not _is_power_of_two(side):
             raise NotSpaceFilling(f"grid side must be a power of two, got {side!r}")
-        cells = np.ascontiguousarray(np.asarray(self.cells, dtype=np.int64))
+        cells = self.cells
+        if not isinstance(cells, np.ndarray):
+            # as objects, Python ints stay exact: inference would make 2**63 a float
+            cells = np.array(cells, dtype=object)
         if cells.ndim != 2 or cells.shape[1] != 2:
             raise NotSpaceFilling("cells must be an (n, 2) array of grid points")
+        cells = np.ascontiguousarray(cells if cells.dtype == np.int64 else _exact_int64(side, cells))
         ok = len(cells) == side * side and cells.min() >= 0 and cells.max() < side
         if ok:
             # side*side cells in range: all marked iff none repeats
@@ -300,8 +319,7 @@ def validate_kernel(p: CurvePath | "np.ndarray | list", name: str = "kernel") ->
     copies meet (see the module docstring).
     """
     if not isinstance(p, CurvePath):
-        cells = np.asarray(p, dtype=np.int64)
-        p = CurvePath(math.isqrt(len(cells)), cells)
+        p = CurvePath(math.isqrt(len(p)), p)
     if p.side < 2:
         raise BadEntryExit("side-1 kernel rejected: entry and exit would coincide")
     if p.entry != (0, 0):

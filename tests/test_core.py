@@ -284,6 +284,48 @@ class TestCurvePathValidation:
         assert p.label_grid()[p.point(i)] == i
 
 
+# both entry points of the one cell check; validate_kernel sizes the grid itself
+CELL_CHECKS = {"CurvePath": lambda cells: CurvePath(2, cells), "validate_kernel": validate_kernel}
+
+
+@pytest.mark.parametrize("check", CELL_CHECKS.values(), ids=CELL_CHECKS.keys())
+class TestCellTypes:
+    @pytest.mark.parametrize("cells,error,message", [
+        ([(0.5, 0), (0, 1), (1, 1), (1, 0)], NotSpaceFilling,
+         "cell value 0.5 at step 0 is not an int"),
+        ([(0, 0), (0, 1), (1, 1), (1.2, 0)], NotSpaceFilling,
+         "cell value 1.2 at step 3 is not an int"),
+        ([(0.9, 0), (0, 1), (1, 1), (1.2, 0)], NotSpaceFilling,
+         "cell value 0.9 at step 0 is not an int"),
+        ([("0", "0"), ("0", "1"), ("1", "1"), ("1", "0")], NotSpaceFilling,
+         "cell value '0' at step 0 is not an int"),
+        (np.array(UNIT_CELLS, dtype=np.float64), NotSpaceFilling,
+         "cell value 0.0 at step 0 is not an int"),
+        ([(2 ** 63, 0), (0, 1), (1, 1), (1, 0)], OutOfBounds,
+         f"cell ({2 ** 63}, 0) at step 0 leaves the 2x2 grid"),
+        ([(2 ** 64, 0), (0, 1), (1, 1), (1, 0)], OutOfBounds,
+         f"cell ({2 ** 64}, 0) at step 0 leaves the 2x2 grid"),
+        ([(0, 0), (0, 1), (1, 1), (1, -2 ** 63 - 1)], OutOfBounds,
+         f"cell (1, {-2 ** 63 - 1}) at step 3 leaves the 2x2 grid"),
+        # must not wrap to -2**63
+        (np.array([(2 ** 63, 0), (0, 1), (1, 1), (1, 0)], dtype=np.uint64), OutOfBounds,
+         f"cell ({2 ** 63}, 0) at step 0 leaves the 2x2 grid"),
+    ], ids=["half", "last-float", "kernel-floats", "strings", "float-array", "2**63", "2**64",
+            "past-int64-min", "uint64-2**63"])
+    def test_cast_truncates_and_wraps_nothing(self, check, cells, error, message):
+        with pytest.raises(error) as info:
+            check(cells)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_integer_arrays_accepted(self, check, dtype):
+        p = check(np.array(UNIT_CELLS, dtype=dtype))
+        p = getattr(p, "path", p)
+        assert p.cells.dtype == np.int64
+        assert p == make_path(UNIT_CELLS)
+
+
 class TestValidateKernel:
     def test_unit_ok(self):
         spec = validate_kernel(UNIT_CELLS, name="unit")

@@ -254,13 +254,21 @@ class TestCliUsage:
         ("generate", "--nu", "all"),                 # fan-out without --output
         ("generate", "--order", "0"),
         ("diffmap", "--format", "pgm"),              # pgm to stdout
-        ("analyze", "--divisor8", "--convention", "neighbors"),
+        ("analyze", "--divisor8"),                   # removed alias
         ("frobnicate",),                             # argparse rejection
         ("generate", "--backend", "sideways"),
+        # each command takes only its own flags
+        ("generate", "--format", "csv"),
+        ("analyze", "--format", "json-record"),
+        ("dilation", "--convention", "divisor8"),
+        ("reproduce-tables", "--nu", "3"),
+        ("reproduce-tables", "--order", "8"),
+        ("validate-kernel", "unit", "--order", "2"),
     ])
     def test_exit_one(self, capsys, argv):
-        code, _, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == cli.EXIT_USAGE
+        assert out == ""
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == cli.EXIT_OK
@@ -275,6 +283,11 @@ class TestCliGenerate:
         for i, line in enumerate(lines[1:]):
             x, y = hilbert_d2xy(2, i)
             assert line == f"{i},{x},{y}"
+
+    def test_nu_is_parsed_as_an_integer(self, capsys):
+        code, out, _ = run_cli(capsys, "generate", "--nu", "03", "--order", "2")
+        assert code == cli.EXIT_OK
+        assert out == run_cli(capsys, "generate", "--nu", "3", "--order", "2")[1]
 
     def test_both_backends_agree(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "--nu", "7", "--order", "3",
@@ -339,9 +352,9 @@ class TestCliGenerate:
     def test_cell_budget_admits_its_largest_curve(self, unit):
         # order 12 on the unit kernel is side 4096, exactly MAX_CELLS cells
         assert cli.MAX_CELLS == 4096 ** 2
-        cli._check_budget(cli.JobSpec(command="generate", order=12), unit)
+        cli._check_budget(12, unit)
         with pytest.raises(cli.UsageError):
-            cli._check_budget(cli.JobSpec(command="generate", order=13), unit)
+            cli._check_budget(13, unit)
 
     @pytest.mark.parametrize("argv,exit_code", [
         (["--order", "20"], cli.EXIT_USAGE),
@@ -366,7 +379,7 @@ class TestCliAnalysis:
         assert row == {"nu": 0, "order": 2, "kernel": "unit", "sigma": 2.5}
 
     def test_analyze_record(self, capsys):
-        code, out, _ = run_cli(capsys, "analyze", "--order", "1", "--divisor8")
+        code, out, _ = run_cli(capsys, "analyze", "--order", "1", "--convention", "divisor8")
         assert code == cli.EXIT_OK
         row = json.loads(out)
         assert row["mean"] == 0.625
@@ -489,13 +502,32 @@ class TestCliFailures:
             assert code == cli.EXIT_MISMATCH, extra
             assert "step 5" in err
 
+    @pytest.mark.parametrize("kind,step", [("shorter", 16), ("longer", 64), ("longer-differing", 1)],
+                             ids=["shorter", "longer", "longer-differing"])
+    def test_backend_length_mismatch_exits_three(self, capsys, monkeypatch, kind, step):
+        true_tag = cli.BACKENDS["tag"]
+
+        def tag(nu, order, kernel):
+            if kind == "shorter":
+                # the first quarter of a grown curve is a curve one order lower
+                p = true_tag(nu, order, kernel)
+                return CurvePath(p.side // 2, p.cells[:len(p) // 4])
+            # transposed, variant 0 one order higher starts with the asked-for curve
+            p = true_tag(nu, order + 1, kernel)
+            return CurvePath(p.side, p.cells[:, ::-1] if kind == "longer" else p.cells)
+
+        monkeypatch.setitem(cli.BACKENDS, "tag", tag)
+        code, out, err = run_cli(capsys, "generate", "--order", "3", "--backend", "both")
+        assert code == cli.EXIT_MISMATCH
+        assert out == "" and f"at step {step}:" in err and "Traceback" not in err
+
     def test_mismatch_reported_from_run(self, monkeypatch, capsys):
         def stub(nu, order, kernel):
             p = cli.BACKENDS["affine"](nu, order, kernel)
             return CurvePath(p.side, np.flipud(p.cells).copy())
 
         monkeypatch.setitem(cli.BACKENDS, "tag", stub)
-        job = cli.JobSpec(command="generate", nu="1", order=2, kernel="unit",
-                          backend="both")
-        assert cli.run(job) == cli.EXIT_MISMATCH
+        args = cli._parser().parse_args(["generate", "--nu", "1", "--order", "2",
+                                         "--backend", "both"])
+        assert cli.run(args) == cli.EXIT_MISMATCH
         assert "backend disagreement" in capsys.readouterr().err
