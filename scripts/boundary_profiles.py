@@ -9,6 +9,8 @@ variants keep the top seam quiet.
 """
 
 import argparse
+import os
+import sys
 
 from hhck.affine import build_curve
 from hhck.io import fmt6
@@ -37,4 +39,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # the reader left early (say, `| head`); send the rest to devnull so
+        # the flush at exit cannot raise again, and end without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

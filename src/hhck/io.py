@@ -94,11 +94,18 @@ def _write_rows(fh: IO[str], text: np.ndarray, sep: str) -> None:
 def write_diffmap_csv(fh: IO[str], m: DifferenceMap) -> None:
     """Grid of map values, top row first, columns left to right.
 
-    Each distinct value is rendered once through fmt6.
+    Each distinct value is rendered once through fmt6: as an int when the
+    denominator divides it, else as the true quotient of the two ints,
+    which Python rounds correctly to the float of the exact Fraction.
     """
-    values, inverse = np.unique(m.numerators, return_inverse=True)
-    text = np.array([fmt6(Fraction(v, m.denominator)) for v in values.tolist()], dtype=object)
-    _write_rows(fh, text[inverse.reshape(m.numerators.shape)], ",")
+    den = m.denominator
+    # asking for counts keeps np.unique on its sorting path, which beats
+    # both its hash path and return_inverse here; each cell then finds its
+    # level by binary search
+    values = np.unique(m.numerators, return_counts=True)[0]
+    text = np.array([fmt6(v // den) if v % den == 0 else fmt6(v / den)
+                     for v in values.tolist()], dtype=object)
+    _write_rows(fh, text[np.searchsorted(values, m.numerators)], ",")
 
 
 def _log_gray(m: DifferenceMap) -> np.ndarray:

@@ -88,9 +88,12 @@ _CHUNK_PAIRS = 1 << 14
 _CHILD_I = np.repeat(np.arange(4), 4)
 _CHILD_J = np.tile(np.arange(4), 4)
 
-_NEIGHBOR_OFFSETS = tuple(
-    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
-)
+# exclusive bound of int32, for the choice of arithmetic in difference_map
+_INT32_LIMIT = 2 ** 31
+
+# half of the king offsets; each pair of neighbors is met once, from the
+# cell at (x, y) to the one at (x + dx, y + dy)
+_FORWARD_OFFSETS = ((1, -1), (1, 0), (1, 1), (0, 1))
 
 
 def _raise_best(best: tuple[int, int], d2: np.ndarray, gap: np.ndarray) -> tuple[int, int]:
@@ -207,22 +210,29 @@ def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: in
     """
     if convention not in DIVISOR_CONVENTIONS:
         raise ValueError(f"convention must be one of {DIVISOR_CONVENTIONS}, got {convention!r}")
-    labels = p.label_grid()
     side = p.side
-    sums = np.zeros((side, side), dtype=np.int64)
-    counts = np.zeros((side, side), dtype=np.int64)
-    for dx, dy in _NEIGHBOR_OFFSETS:
-        dst_x = slice(max(0, -dx), side - max(0, dx))
-        dst_y = slice(max(0, -dy), side - max(0, dy))
-        src_x = slice(max(0, dx), side - max(0, -dx))
-        src_y = slice(max(0, dy), side - max(0, -dy))
-        sums[dst_x, dst_y] += np.abs(labels[dst_x, dst_y] - labels[src_x, src_y])
-        counts[dst_x, dst_y] += 1
+    # a cell's sum has at most 8 terms, each below len(p), so int32 is
+    # exact while 8 * len(p) < 2^31; larger paths sum in int64
+    exact = np.int32 if 8 * len(p) < _INT32_LIMIT else np.int64
+    labels = p.label_grid().astype(exact)
+    sums = np.zeros((side, side), dtype=exact)
+    for dx, dy in _FORWARD_OFFSETS:
+        here = slice(0, side - dx), slice(max(0, -dy), side - max(0, dy))
+        there = slice(dx, side), slice(max(0, dy), side - max(0, -dy))
+        diff = labels[here] - labels[there]
+        np.abs(diff, out=diff)
+        sums[here] += diff
+        sums[there] += diff
+    num = sums.astype(np.int64, copy=False)
     if convention == "divisor8":
-        num, den = sums, 8
-    else:
-        num, den = sums * (120 // counts), 120  # 120 = lcm(3, 5, 8)
-    return DifferenceMap(side, num, den, convention, order)
+        return DifferenceMap(side, num, 8, convention, order)
+    # 120 = lcm(3, 5, 8): corners have 3 neighbors, the rest of the border
+    # 5 and interior cells 8
+    num[1:-1, 1:-1] *= 15
+    num[[0, -1], 1:-1] *= 24
+    num[1:-1, [0, -1]] *= 24
+    num[np.ix_([0, -1], [0, -1])] *= 40
+    return DifferenceMap(side, num, 120, convention, order)
 
 
 @dataclass(frozen=True)
@@ -242,21 +252,19 @@ def diff_stats(m: DifferenceMap) -> DiffStats:
     n = len(flat)
     den = m.denominator
     total = int(flat.sum())
-    mean = Fraction(total, den * n)
-    ordered = np.sort(flat)
-    if n % 2:
-        median = Fraction(int(ordered[n // 2]), den)
-    else:
-        median = Fraction(int(ordered[n // 2 - 1]) + int(ordered[n // 2]), 2 * den)
-    _, counts = np.unique(flat, return_counts=True)
+    # the one sort: every statistic reads the distinct values and their counts
+    values, counts = np.unique(flat, return_counts=True)
+    # the middle two order statistics (the same one when n is odd)
+    lo, hi = values[np.searchsorted(counts.cumsum(), [(n - 1) // 2, n // 2], side="right")]
     probs = counts / n
-    entropy = float(-(probs * np.log2(probs)).sum())
-    below = int((flat * n < total).sum())
+    # adding 0.0 turns the -0.0 of a constant map into 0.0
+    entropy = float(-(probs * np.log2(probs)).sum()) + 0.0
+    below = int(counts[values * n < total].sum())
     return DiffStats(
-        mean=mean,
-        max=Fraction(int(ordered[-1]), den),
-        min=Fraction(int(ordered[0]), den),
-        median=median,
+        mean=Fraction(total, den * n),
+        max=Fraction(int(values[-1]), den),
+        min=Fraction(int(values[0]), den),
+        median=Fraction(int(lo) + int(hi), 2 * den),
         entropy_bits=entropy,
         pct_below_mean=Fraction(100 * below, n),
     )
@@ -308,15 +316,19 @@ def boundary_profile(m: DifferenceMap) -> list[Fraction]:
 
     Rows are listed from the top of the grid down, so the first half of
     the list runs along the quadrant 2 to 3 crossing and the second
-    half along the 4 to 1 crossing.
+    half along the 4 to 1 crossing.  The grid side must be at least 2.
     """
-    c0, c1 = m.side // 2 - 1, m.side // 2
-    out = []
-    for row in range(m.side - 1, -1, -1):
-        out.append(
-            Fraction(int(m.numerators[c0, row]) + int(m.numerators[c1, row]), 2 * m.denominator)
-        )
-    return out
+    if m.side < 2:
+        raise ValueError(f"boundary profile needs side >= 2, got {m.side}")
+    half = m.side // 2
+    left = m.numerators[half - 1, ::-1].tolist()
+    right = m.numerators[half, ::-1].tolist()
+    return [Fraction(a + b, 2 * m.denominator) for a, b in zip(left, right)]
+
+
+# seam name -> (axis of the two flag lines beside it, whether it runs
+# along the upper half of that axis)
+_SEAMS = {"1-2": (1, False), "3-4": (1, True), "2-3": (0, True), "4-1": (0, False)}
 
 
 def boundary_run_fraction(mask: BarrierMask, boundary: str) -> Fraction:
@@ -326,23 +338,17 @@ def boundary_run_fraction(mask: BarrierMask, boundary: str) -> Fraction:
     "1-2" (left half of the horizontal center line), "3-4" (right
     half), "2-3" (upper half of the vertical center line), "4-1"
     (lower half).  A boundary position counts as flagged when either of
-    the two cells that touch the line there is flagged.
+    the two cells that touch the line there is flagged.  The grid side
+    must be at least 2.
     """
-    side = mask.side
-    half = side // 2
-    lines = {
-        "1-2": [(c, half - 1, c, half) for c in range(0, half)],
-        "3-4": [(c, half - 1, c, half) for c in range(half, side)],
-        "2-3": [(half - 1, r, half, r) for r in range(half, side)],
-        "4-1": [(half - 1, r, half, r) for r in range(0, half)],
-    }
-    if boundary not in lines:
-        raise ValueError(f"boundary must be one of {sorted(lines)}, got {boundary!r}")
-    run = best = 0
-    for x0, y0, x1, y1 in lines[boundary]:
-        if mask.flags[x0, y0] or mask.flags[x1, y1]:
-            run += 1
-            best = max(best, run)
-        else:
-            run = 0
-    return Fraction(best, half)
+    if boundary not in _SEAMS:
+        raise ValueError(f"boundary must be one of {sorted(_SEAMS)}, got {boundary!r}")
+    if mask.side < 2:
+        raise ValueError(f"boundary runs need side >= 2, got {mask.side}")
+    axis, upper = _SEAMS[boundary]
+    half = mask.side // 2
+    line = np.take(mask.flags, [half - 1, half], axis=axis).any(axis=axis)
+    line = line[half:] if upper else line[:half]
+    # runs start and end where the line, padded with False, changes
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], line, [False]))))
+    return Fraction(int((edges[1::2] - edges[0::2]).max(initial=0)), half)

@@ -1,3 +1,4 @@
+import hashlib
 import io as _io
 import json
 import warnings
@@ -213,6 +214,14 @@ class TestWritersMatchReference:
             assert render(write_diffmap_pgm, m) == brute_pgm(gray)
             assert render(write_barrier_ppm, m, mask) == brute_ppm(gray, mask.flags)
 
+    @pytest.mark.parametrize("name,order", [("unit", 5), ("mouse", 4), ("frog", 4)])
+    def test_neighbors_csv_every_variant(self, name, order):
+        # denominator 120 is where %.6g rounds most levels
+        kernel = load_bundled(name)
+        for nu in range(12):
+            m = difference_map(build_curve(nu, order, kernel), "neighbors", order)
+            assert render(write_diffmap_csv, m) == brute_diffmap_csv(m.numerators, 120), nu
+
     def test_csv_values_of_a_million_and_more(self):
         # 1000000 and 1000001 are integers, so fmt6 prints every digit;
         # 1000000.5 is not, and %.6g rounds it
@@ -399,6 +408,19 @@ class TestCliAnalysis:
         assert target.read_text().startswith("P2\n16 16\n255\n")
         companion = tmp_path / "map.barrier.ppm"
         assert companion.read_text().startswith("P3\n16 16\n255\n")
+
+    # sha256 of stdout; the neighbors convention's denominator 120 is where
+    # %.6g rounding shows, and the benchmark checks only divisor8 output
+    @pytest.mark.parametrize("argv,digest", [
+        (["diffmap", "--convention", "neighbors", "--order", "6", "--nu", "9"],
+         "6bfdc6f1f9f6a88f2de3b83d975b0c1cff3db952ca6079a02fd20e1fc446554c"),
+        (["reproduce-tables", "--kernel", "frog", "--convention", "neighbors"],
+         "5ce6c0219124f6cfed913eb2fd61d20bb93c252b59fd9347fce5409affa115e1"),
+    ], ids=["diffmap", "reproduce-tables"])
+    def test_neighbors_output_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_validate_kernel_checksum(self, capsys):
         code, out, _ = run_cli(capsys, "validate-kernel", "unit")

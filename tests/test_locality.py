@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from hhck import locality
 from hhck.affine import build_curve
-from hhck.core import reverse
+from hhck.core import CurvePath, reverse
+from hhck.io import stats_record
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 from hhck.locality import (
     DEFAULT_CONVENTION,
@@ -91,6 +92,15 @@ class TestDilation:
         assert dilation_factor(build_curve(nu, 8, unit)) == ORDER8_UNIT_SIGMA[nu]
 
 
+# every bundled kernel at each order of at most 1,024 cells
+SMALL_CURVES = [(name, n) for name in BUILTIN_KERNELS for n in range(1, 6)
+                if (load_bundled(name).side << (n - 1)) ** 2 <= 1024]
+
+
+def map_values(m: DifferenceMap) -> dict[tuple[int, int], Fraction]:
+    return {(x, y): m.value(x, y) for x in range(m.side) for y in range(m.side)}
+
+
 ORDER1_FIXED8 = {(0, 0): Fraction(3, 4), (0, 1): Fraction(1, 2),
                  (1, 1): Fraction(1, 2), (1, 0): Fraction(3, 4)}
 ORDER1_BY_COUNT = {(0, 0): Fraction(2), (0, 1): Fraction(4, 3),
@@ -141,6 +151,32 @@ class TestDifferenceMap:
         assert m.value(0, 0) == m.value(1, 0)
         assert m.value(0, 1) == m.value(1, 1)
 
+    @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
+    @pytest.mark.parametrize("name,n", SMALL_CURVES)
+    def test_every_variant_matches_brute_force(self, name, n, convention):
+        for nu in range(12):
+            p = build_curve(nu, n, load_bundled(name))
+            assert map_values(difference_map(p, convention)) == \
+                brute_diff_values(p.cells.tolist(), fixed8=(convention == "divisor8")), nu
+
+    @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
+    def test_int64_sums_match_brute_force(self, monkeypatch, unit, convention):
+        # a limit this low sends every map through int64 sums; at side 128
+        # the largest sums pass 2^15, so a narrower type would show
+        monkeypatch.setattr(locality, "_INT32_LIMIT", 2 ** 4)
+        for nu in (0, 9):
+            p = build_curve(nu, 7, unit)
+            m = difference_map(p, convention)
+            assert m.numerators.dtype == np.int64
+            assert map_values(m) == \
+                brute_diff_values(p.cells.tolist(), fixed8=(convention == "divisor8")), nu
+
+    @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
+    def test_side_one_map_is_zero_without_warning(self, convention):
+        # one cell has no neighbors; the suite turns warnings into errors
+        m = difference_map(CurvePath(1, np.zeros((1, 2), dtype=np.int64)), convention)
+        assert m.numerators.tolist() == [[0]]
+
 
 class TestDiffStats:
     def test_order_one_exact(self, unit):
@@ -175,7 +211,27 @@ class TestDiffStats:
         m = DifferenceMap(2, np.full((2, 2), 6, dtype=np.int64), 8, "divisor8", 1)
         s = diff_stats(m)
         assert s.entropy_bits == 0.0
+        assert math.copysign(1.0, s.entropy_bits) == 1.0
+        assert '"entropy_bits": 0,' in stats_record(s, "divisor8", 1)
         assert s.pct_below_mean == 0
+
+    @given(st.data(), st.sampled_from([8, 120]), st.sampled_from([3, 1 << 20]))
+    @settings(max_examples=80)
+    def test_synthetic_maps_match_brute_force(self, data, den, top):
+        # odd and even cell counts; a top of 3 makes heavy ties at the median
+        side = data.draw(st.integers(1, 7))
+        values = data.draw(st.lists(st.integers(0, top), min_size=side * side,
+                                    max_size=side * side))
+        m = DifferenceMap(side, np.array(values, dtype=np.int64).reshape(side, side),
+                          den, "neighbors" if den == 120 else "divisor8", 0)
+        s = diff_stats(m)
+        want = brute_stats([Fraction(v, den) for v in values])
+        assert s.mean == want["mean"]
+        assert s.max == want["max"]
+        assert s.min == want["min"]
+        assert s.median == want["median"]
+        assert s.pct_below_mean == want["pct_below_mean"]
+        assert math.isclose(s.entropy_bits, want["entropy_bits"], rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestBarrier:
@@ -257,3 +313,49 @@ class TestBoundary:
         mask = BarrierMask(4, np.zeros((4, 4), dtype=bool))
         with pytest.raises(ValueError):
             boundary_run_fraction(mask, "1-3")
+
+    @pytest.mark.parametrize("name,n", SMALL_CURVES)
+    def test_profile_matches_cell_values(self, name, n):
+        for nu in (0, 5, 10):
+            m = difference_map(build_curve(nu, n, load_bundled(name)))
+            c0, c1 = m.side // 2 - 1, m.side // 2
+            assert boundary_profile(m) == [(m.value(c0, row) + m.value(c1, row)) / 2
+                                           for row in range(m.side - 1, -1, -1)], nu
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_run_fraction_matches_loop(self, data):
+        side = data.draw(st.integers(2, 9))
+        cells = data.draw(st.lists(st.booleans(), min_size=side * side, max_size=side * side))
+        mask = BarrierMask(side, np.array(cells).reshape(side, side))
+        for seam in SEAMS:
+            assert boundary_run_fraction(mask, seam) == loop_run_fraction(mask, seam), seam
+
+    def test_side_one_rejected(self):
+        m = DifferenceMap(1, np.zeros((1, 1), dtype=np.int64), 8, "divisor8", 0)
+        with pytest.raises(ValueError):
+            boundary_profile(m)
+        mask = BarrierMask(1, np.zeros((1, 1), dtype=bool))
+        for seam in SEAMS:
+            with pytest.raises(ValueError):
+                boundary_run_fraction(mask, seam)
+
+
+SEAMS = ("1-2", "3-4", "2-3", "4-1")
+
+
+def loop_run_fraction(mask: BarrierMask, seam: str) -> Fraction:
+    """Longest run of flagged positions along a seam, one position at a time."""
+    side, flags = mask.side, mask.flags.tolist()
+    half = side // 2
+    if seam in ("1-2", "3-4"):
+        span = range(0, half) if seam == "1-2" else range(half, side)
+        hits = [flags[c][half - 1] or flags[c][half] for c in span]
+    else:
+        span = range(half, side) if seam == "2-3" else range(0, half)
+        hits = [flags[half - 1][r] or flags[half][r] for r in span]
+    run = best = 0
+    for hit in hits:
+        run = run + 1 if hit else 0
+        best = max(best, run)
+    return Fraction(best, half)

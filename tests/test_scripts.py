@@ -4,6 +4,7 @@ Each script runs as the README says, from the repository root with
 PYTHONPATH=src, at a small size.
 """
 
+import fcntl
 import importlib.util
 import os
 import subprocess
@@ -31,6 +32,29 @@ def test_script_runs(argv, header):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].split() == header.split()
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["dilation_sweep.py", "--orders", "1", "7"],
+    ["boundary_profiles.py", "--nu", *map(str, range(12))],
+], ids=["dilation_sweep", "boundary_profiles"])
+def test_script_ends_quietly_when_stdout_closes(argv):
+    # unbuffered, every row is its own write.  dilation_sweep prints its
+    # header before it builds a curve; boundary_profiles writes about
+    # 25 kB into a one-page pipe.  Either way rows are still to come when
+    # the reader closes after the first line.
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, str(Path("scripts", argv[0])), *argv[1:]],
+                            cwd=ROOT, env=dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1"),
+                            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    os.close(write_end)
+    with os.fdopen(read_end) as out:
+        assert out.readline().startswith(("order,", "row,"))
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err, err
+    assert proc.returncode == 1
 
 
 def test_find_kernels_enumeration():
