@@ -9,9 +9,8 @@ variants keep the top seam quiet.
 """
 
 import argparse
-import os
-import sys
 
+from find_kernels import exit_quietly_on_closed_stdout
 from hhck.affine import build_curve
 from hhck.io import fmt6
 from hhck.kernels import load_bundled
@@ -26,12 +25,12 @@ def main() -> None:
 
     kernel = load_bundled(args.kernel)
     order = reference_order(kernel)
-    side = kernel.side * 2 ** (order - 1)
 
     cols = []
     for nu in args.nu:
         m = difference_map(build_curve(nu, order, kernel), order=order)
         cols.append(boundary_profile(m))
+    side = m.side
 
     print("row," + ",".join(f"nu{nu:02d}" for nu in args.nu))
     for i in range(side):
@@ -39,10 +38,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except BrokenPipeError:
-        # the reader left early (say, `| head`); send the rest to devnull so
-        # the flush at exit cannot raise again, and end without a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    exit_quietly_on_closed_stdout(main)

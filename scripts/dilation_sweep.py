@@ -9,9 +9,8 @@ dilation_factor is a block-pair branch and bound, so orders up to 10
 """
 
 import argparse
-import os
-import sys
 
+from find_kernels import exit_quietly_on_closed_stdout
 from hhck.affine import build_curve
 from hhck.io import fmt6
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
@@ -36,10 +35,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except BrokenPipeError:
-        # the reader left early (say, `| head`); send the rest to devnull so
-        # the flush at exit cannot raise again, and end without a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    exit_quietly_on_closed_stdout(main)

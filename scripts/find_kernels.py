@@ -9,8 +9,9 @@ published difference-map fingerprints:
     frog:  median 10.5,  interior min 2.75, entropy near 6.18
 
 plus the per-variant map maxima (12 values each, matched within printed
-rounding).  Ties (mirror-symmetric seeds produce identical statistics) are
-broken by the lexicographically smallest stroke string.
+rounding).  The finalists are ranked by rank_key; the last tie-break
+(mirror-symmetric seeds produce identical statistics) is the
+lexicographically smallest stroke string.
 
 Usage: PYTHONPATH=src python scripts/find_kernels.py [--write-dir DIR]
 """
@@ -18,21 +19,22 @@ Usage: PYTHONPATH=src python scripts/find_kernels.py [--write-dir DIR]
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from hhck.core import CurvePath, CurveError, path_to_strokes, validate_kernel
-from hhck.affine import grow_once
-from hhck.locality import difference_map
+from hhck.affine import build_curve
+from hhck.core import CurvePath, CurveError, format_kernel_text, validate_kernel
 from hhck.kernels import kernel_checksum
+from hhck.locality import diff_stats, difference_map, reference_order
 
 SIDE = 4
 START = (0, 0)
 END = (SIDE - 1, 0)
-TARGET_SIDE = 256
 
 KING = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)]
 
@@ -79,53 +81,51 @@ def enumerate_seed_paths():
     return found
 
 
-def growth_bases(kernel_path):
-    """(variant-0 base, variant-5 base) at half the reference side.
-
-    A proper variant of order n recurses on the variant-0 curve of order
-    n-1; an improper one recurses on the variant-5 curve of order n-1,
-    which itself sits on the variant-0 curve of order n-2.
-    """
-    p = kernel_path
-    while p.side < TARGET_SIDE // 4:
-        p = grow_once(0, p)
-    return grow_once(0, p), grow_once(5, p)
+def variant_maps(kernel, nus):
+    """The divisor8 difference maps of some variants at the reference side."""
+    order = reference_order(kernel)
+    maps = [difference_map(build_curve(nu, order, kernel), "divisor8") for nu in nus]
+    build_curve.cache_clear()  # no other kernel reuses them; thousands would pile up
+    return maps
 
 
-def fingerprint(kernel_path):
-    """(median, interior_min, entropy, max) of the variant-0 map at side 256."""
-    base0, _ = growth_bases(kernel_path)
-    p = grow_once(0, base0)
-    m = difference_map(p, "divisor8")
-    num = m.numerators
-    flat = np.sort(num.flatten())
-    n = flat.size
-    med = Fraction(int(flat[n // 2 - 1]) + int(flat[n // 2]), 16)
-    interior = np.sort(num[1:-1, 1:-1].flatten())
-    k = interior.size
-    med_int = Fraction(int(interior[k // 2 - 1]) + int(interior[k // 2]), 16)
-    imin = Fraction(int(interior[0]), 8)
-    _, counts = np.unique(flat, return_counts=True)
-    freq = counts / n
-    ent = float(-(freq * np.log2(freq)).sum())
-    return (med, med_int), imin, ent, Fraction(int(flat[-1]), 8)
+def fingerprint(kernel):
+    """((median, interior median), interior_min, entropy) of variant 0."""
+    [m] = variant_maps(kernel, [0])
+    s = diff_stats(m)
+    inner = replace(m, side=m.side - 2, numerators=m.numerators[1:-1, 1:-1])
+    return (s.median, diff_stats(inner).median), s.interior_min, s.entropy_bits
 
 
-def variant_maxima_and_minima(kernel_path):
-    base0, base5 = growth_bases(kernel_path)
-    maxima, minima = [], []
-    for nu in range(12):
-        p = grow_once(nu, base0 if nu <= 5 else base5)
-        num = difference_map(p, "divisor8").numerators
-        maxima.append(Fraction(int(num.max()), 8))
-        minima.append(Fraction(int(num[1:-1, 1:-1].min()), 8))
-    return maxima, minima
+def fits(fp, want):
+    """Stage 1: either median, the interior minimum and the entropy match."""
+    medians, imin, ent = fp
+    return (want["median"] in medians and imin == want["interior_min"]
+            and abs(ent - want["entropy"]) <= 0.1)
+
+
+def variant_maxima_and_minima(kernel):
+    stats = [diff_stats(m) for m in variant_maps(kernel, range(12))]
+    return [s.max for s in stats], [s.interior_min for s in stats]
 
 
 def round_half_down(x: Fraction) -> int:
     # the published maxima round ties downward (16384.5 prints as 16384)
     y = x - Fraction(1, 2)
     return -((-y.numerator) // y.denominator)
+
+
+def exit_quietly_on_closed_stdout(main):
+    """Run a script's main; exit 1 without a traceback if stdout closes early.
+
+    Every script here keeps this contract, so `script | head` ends quietly.
+    """
+    try:
+        main()
+    except BrokenPipeError:
+        # send the rest to devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 def has_crossing(kernel_path):
@@ -141,7 +141,7 @@ def has_crossing(kernel_path):
     return False
 
 
-def rank_key(kernel_path, published_max):
+def rank_key(kernel, published_max):
     """Sort key: best candidate first.
 
     Preference order: most maxima reproducing the printed value under the
@@ -149,11 +149,10 @@ def rank_key(kernel_path, published_max):
     drawing has no segment crossings, then smallest total deviation from
     the printed maxima, then the lexicographically smallest stroke string.
     """
-    maxima, _ = variant_maxima_and_minima(kernel_path)
+    maxima, _ = variant_maxima_and_minima(kernel)
     printed_hits = sum(round_half_down(m) == t for m, t in zip(maxima, published_max))
     deviation = sum(abs(m - t) for m, t in zip(maxima, published_max))
-    return (-printed_hits, has_crossing(kernel_path), deviation,
-            path_to_strokes(kernel_path).strokes)
+    return -printed_hits, has_crossing(kernel.path), deviation, kernel.strokes.strokes
 
 
 def main():
@@ -167,20 +166,17 @@ def main():
 
     kernels = []
     for cells in seeds:
-        path = CurvePath(SIDE, np.array(cells, dtype=np.int64))
         try:
-            validate_kernel(path)
+            kernels.append(validate_kernel(CurvePath(SIDE, np.array(cells, dtype=np.int64))))
         except CurveError:
             continue
-        kernels.append(path)
     print(f"{len(kernels)} pass kernel validation  [{time.time()-t0:.1f}s]")
 
     stage = {"mouse": [], "frog": []}
     for i, k in enumerate(kernels):
-        meds, imin, ent, _ = fingerprint(k)
+        fp = fingerprint(k)
         for name, want in (("mouse", MOUSE_PRINT), ("frog", FROG_PRINT)):
-            if want["median"] in meds and imin == want["interior_min"] \
-                    and abs(ent - want["entropy"]) <= 0.1:
+            if fits(fp, want):
                 stage[name].append(k)
         if (i + 1) % 200 == 0:
             print(f"  fingerprinted {i+1}/{len(kernels)}  [{time.time()-t0:.1f}s]")
@@ -200,27 +196,19 @@ def main():
             continue
         finalists.sort(key=lambda k: rank_key(k, published))
         for k in finalists:
-            print(f"  strokes {path_to_strokes(k).strokes}  "
-                  f"(crossing={has_crossing(k)})")
+            print(f"  strokes {k.strokes.strokes}  (crossing={has_crossing(k.path)})")
         pick = finalists[0]
-        spec = validate_kernel(pick)
-        text = "\n".join([
-            f"# {name} kernel: recovered by scripts/find_kernels.py",
-            "side 4",
-            "origin 0 0",
-            f"strokes {path_to_strokes(pick).strokes}",
-            "",
-        ])
-        print(f"  -> picked {path_to_strokes(pick).strokes}")
-        print(f"     sha256 {kernel_checksum(spec)}")
+        print(f"  -> picked {pick.strokes.strokes}")
+        print(f"     sha256 {kernel_checksum(pick)}")
         if args.write_dir:
             out = f"{args.write_dir}/{name}.kernel"
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.write(f"# {name} kernel: recovered by scripts/find_kernels.py\n"
+                         + format_kernel_text(pick))
             print(f"     wrote {out}")
 
     print(f"\ndone in {time.time()-t0:.1f}s")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_quietly_on_closed_stdout(main)

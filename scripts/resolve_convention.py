@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
+from find_kernels import exit_quietly_on_closed_stdout, round_half_down
 from hhck.affine import build_curve
 from hhck.kernels import load_bundled
 from hhck.locality import DIVISOR_CONVENTIONS, diff_stats, difference_map
@@ -39,24 +40,13 @@ PUBLISHED = {
 }
 
 
-def round_half_down(x: Fraction) -> int:
-    # the published maxima round .5 down, see scripts/find_kernels.py
-    y = x - Fraction(1, 2)
-    return -((-y.numerator) // y.denominator)
-
-
-def interior_min(m) -> Fraction:
-    vals = m.numerators[1:-1, 1:-1]
-    return Fraction(int(vals.min()), m.denominator)
-
-
-def row_matches(stats, m) -> dict[str, bool]:
+def row_matches(stats) -> dict[str, bool]:
     two = Fraction(1, 100)
     return {
         "mean": round_half_down(stats.mean) == PUBLISHED["mean"],
         "max": round_half_down(stats.max) == PUBLISHED["max"],
         "min": stats.min == PUBLISHED["min"],
-        "interior_min": interior_min(m) == PUBLISHED["min"],
+        "interior_min": stats.interior_min == PUBLISHED["min"],
         "median": stats.median == PUBLISHED["median"],
         "entropy_bits": abs(Fraction(stats.entropy_bits) - PUBLISHED["entropy_bits"]) <= two / 2,
         "pct_below_mean": abs(stats.pct_below_mean - PUBLISHED["pct_below_mean"]) <= Fraction(1, 20),
@@ -75,9 +65,8 @@ def main() -> None:
     for n in range(args.orders[0], args.orders[1] + 1):
         p = build_curve(0, n, kernel)
         for conv in DIVISOR_CONVENTIONS:
-            m = difference_map(p, convention=conv, order=n)
-            s = diff_stats(m)
-            ok = row_matches(s, m)
+            s = diff_stats(difference_map(p, convention=conv, order=n))
+            ok = row_matches(s)
             hits = [k for k, v in ok.items() if v]
             print(f"{n:>5} {p.side:>5} {conv:>10}  "
                   f"{float(s.mean):>10.3f} {float(s.max):>10.1f} {float(s.min):>6.2f} "
@@ -100,4 +89,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    exit_quietly_on_closed_stdout(main)

@@ -26,7 +26,6 @@ from .core import (
     STROKE_VECTORS,
     StrokeString,
     format_kernel_text,
-    opposite,
     parse_kernel_text,
     path_to_strokes,
     reverse,

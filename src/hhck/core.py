@@ -48,15 +48,6 @@ STROKE_VECTORS: dict[str, GridPoint] = {
     "t": (-1, 1),
 }
 
-# u<->d, r<->l, a<->g, b<->t
-OPPOSITE_TABLE = str.maketrans(STROKES, "dlurgtab")
-
-
-def opposite(strokes: str) -> str:
-    """Replace every stroke by the one pointing the other way."""
-    return strokes.translate(OPPOSITE_TABLE)
-
-
 class CurveError(ValueError):
     """Base class for path and kernel failures."""
 

@@ -237,7 +237,11 @@ def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: in
 
 @dataclass(frozen=True)
 class DiffStats:
-    """Exact summary of a difference map."""
+    """Exact summary of a difference map.
+
+    ``interior_min`` skips the border, as the published tables' min
+    column does; it is None below side 3, where there is no interior.
+    """
 
     mean: Fraction
     max: Fraction
@@ -245,6 +249,7 @@ class DiffStats:
     median: Fraction
     entropy_bits: float
     pct_below_mean: Fraction
+    interior_min: Fraction | None
 
 
 def diff_stats(m: DifferenceMap) -> DiffStats:
@@ -260,6 +265,7 @@ def diff_stats(m: DifferenceMap) -> DiffStats:
     # adding 0.0 turns the -0.0 of a constant map into 0.0
     entropy = float(-(probs * np.log2(probs)).sum()) + 0.0
     below = int(counts[values * n < total].sum())
+    inner = m.numerators[1:-1, 1:-1]
     return DiffStats(
         mean=Fraction(total, den * n),
         max=Fraction(int(values[-1]), den),
@@ -267,6 +273,7 @@ def diff_stats(m: DifferenceMap) -> DiffStats:
         median=Fraction(int(lo) + int(hi), 2 * den),
         entropy_bits=entropy,
         pct_below_mean=Fraction(100 * below, n),
+        interior_min=Fraction(int(inner.min()), den) if inner.size else None,
     )
 
 

@@ -232,6 +232,21 @@ class TestDiffStats:
         assert s.median == want["median"]
         assert s.pct_below_mean == want["pct_below_mean"]
         assert math.isclose(s.entropy_bits, want["entropy_bits"], rel_tol=1e-12, abs_tol=1e-12)
+        # values fill the map row-major as [x, y]; sides 1 and 2 have no interior
+        interior = [Fraction(values[x * side + y], den)
+                    for x in range(1, side - 1) for y in range(1, side - 1)]
+        assert s.interior_min == min(interior, default=None)
+
+    @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
+    @pytest.mark.parametrize("name,n", SMALL_CURVES)
+    def test_every_variant_interior_min_matches_brute_force(self, name, n, convention):
+        for nu in range(12):
+            p = build_curve(nu, n, load_bundled(name))
+            want = brute_diff_values(p.cells.tolist(), fixed8=(convention == "divisor8"))
+            interior = [v for (x, y), v in want.items()
+                        if 0 < x < p.side - 1 and 0 < y < p.side - 1]
+            assert diff_stats(difference_map(p, convention)).interior_min == \
+                min(interior, default=None), nu
 
 
 class TestBarrier:
