@@ -171,7 +171,6 @@ def grow_once(nu: int, p: CurvePath) -> CurvePath:
     return _grown_path(2 * side, np.concatenate(images))
 
 
-@lru_cache(maxsize=256)
 def build_curve(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
     """The order-n curve of variant nu grown from a kernel.
 
@@ -179,6 +178,9 @@ def build_curve(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
     curve of order n-1; variants 6..11 grow from the variant-5 curve of
     order n-1 and coincide with variant 5 at order 2.  The result side
     is kernel.side * 2**(n-1).
+
+    Only those bases are cached (``cache_info``, ``cache_clear``), under 2/3
+    of the largest result's cells per kernel; results are not kept.
     """
     if not 0 <= nu < N_VARIANTS:
         raise ValueError(f"nu must be 0..{N_VARIANTS - 1}, got {nu}")
@@ -189,4 +191,9 @@ def build_curve(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
     rule = RULE_SETS[nu]
     if rule.base == 5 and n == 2:
         return build_curve(5, 2, kernel)
-    return grow_once(nu, build_curve(rule.base, n - 1, kernel))
+    return grow_once(nu, _base_curve(rule.base, n - 1, kernel))
+
+
+# calls build_curve by its global name, so a rebinding of it sees every round
+_base_curve = lru_cache(maxsize=256)(lambda nu, n, kernel: build_curve(nu, n, kernel))
+build_curve.cache_info, build_curve.cache_clear = _base_curve.cache_info, _base_curve.cache_clear

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -296,7 +297,7 @@ class KernelSpec:
     def side(self) -> int:
         return self.path.side
 
-    @property
+    @cached_property
     def strokes(self) -> StrokeString:
         return path_to_strokes(self.path)
 
@@ -320,6 +321,14 @@ def validate_kernel(p: CurvePath | "np.ndarray | list", name: str = "kernel") ->
     return KernelSpec(name, p)
 
 
+def _ascii_int(token: str, what: str) -> int:
+    """A kernel-file number.  int() also takes '²', '١', signs and '_', and fails past 4300 digits."""
+    digits = token.lstrip("0") or "0"
+    if not (token.isascii() and token.isdigit()) or len(digits) > 8:  # 10**8 > any in-budget value
+        raise KernelFormatError(f"{what} must be ASCII digits below 10**8, got {token[:12]!r}")
+    return int(digits)
+
+
 def parse_kernel_text(text: str, name: str = "kernel") -> KernelSpec:
     """Parse the three-line kernel format.
 
@@ -341,20 +350,15 @@ def parse_kernel_text(text: str, name: str = "kernel") -> KernelSpec:
         if not parts or parts[0] != expected:
             raise KernelFormatError(f"expected a '{expected}' line, got {ln!r}")
         fields[expected] = parts[1:]
-    if len(fields["side"]) != 1 or not fields["side"][0].isdigit():
-        raise KernelFormatError("side must be a single integer")
-    side = int(fields["side"][0])
+    side = _ascii_int(" ".join(fields["side"]), "side")
     if not _is_power_of_two(side):
         raise KernelFormatError(f"side must be a power of two, got {side}")
     if side * side > MAX_CELLS:
         raise KernelFormatError(f"side {side} exceeds the budget of {MAX_CELLS} cells")
     if len(fields["origin"]) != 2:
         raise KernelFormatError("origin must be two integers")
-    try:
-        origin = (int(fields["origin"][0]), int(fields["origin"][1]))
-    except ValueError as exc:
-        raise KernelFormatError("origin must be two integers") from exc
-    if not (0 <= origin[0] < side and 0 <= origin[1] < side):
+    origin = (_ascii_int(fields["origin"][0], "origin"), _ascii_int(fields["origin"][1], "origin"))
+    if not (origin[0] < side and origin[1] < side):
         raise KernelFormatError(f"origin must lie in the {side}x{side} grid")
     if len(fields["strokes"]) != 1:
         raise KernelFormatError("strokes must be a single token")

@@ -88,14 +88,17 @@ def _rewrite(rule: TagRule, w: str) -> str:
     return parts[0] + "u" + parts[1] + "r" + parts[2] + "d" + parts[3]
 
 
-@lru_cache(maxsize=256)
 def _expand_str(nu: int, n: int, w0: str) -> str:
     if n == 1:
         return w0
     rule = TAG_RULES[nu]
     if rule.base == 5 and n == 2:
         return _expand_str(5, 2, w0)
-    return _rewrite(rule, _expand_str(rule.base, n - 1, w0))
+    return _rewrite(rule, _base_str(rule.base, n - 1, w0))
+
+
+# the bases only, as in affine; calls _expand_str by its global name
+_base_str = lru_cache(maxsize=256)(lambda nu, n, w0: _expand_str(nu, n, w0))
 
 
 def expand(nu: int, n: int, kernel_strokes: str) -> str:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -191,6 +194,25 @@ def quadrant_blocks_nest(p):
         if len(np.unique(qx)) != 1 or len(np.unique(qy)) != 1:
             return False
     return True
+
+
+class TestBaseCache:
+    """build_curve keeps only the curves others grow from: variant 0 or 5 at order n-1."""
+
+    def test_results_are_not_kept(self, unit):
+        build_curve.cache_clear()
+        refs = [weakref.ref(build_curve(nu, 6, unit)) for nu in range(N_VARIANTS)]
+        gc.collect()
+        assert [r() for r in refs] == [None] * N_VARIANTS
+
+    def test_cache_holds_bases_only(self, unit):
+        build_curve.cache_clear()
+        for nu in range(N_VARIANTS):
+            build_curve(nu, 6, unit)
+        # variant 0 at orders 1-5 and variant 5 at order 5
+        assert build_curve.cache_info().currsize == 6
+        build_curve.cache_clear()
+        assert build_curve.cache_info().currsize == 0
 
 
 class TestNesting:

@@ -13,6 +13,8 @@ from hhck.core import (
     CurvePath,
     DIAGONAL_STROKES,
     KernelFormatError,
+    KernelSpec,
+    MAX_CELLS,
     NonAdjacentStep,
     NotSpaceFilling,
     OutOfBounds,
@@ -373,14 +375,73 @@ class TestKernelText:
         "side two\norigin 0 0\nstrokes urd\n",
         "side 2\norigin 2 0\nstrokes urd\n",        # origin outside the grid
         "side 2\norigin 0 -1\nstrokes urd\n",
+        # int() reads these digits, but a kernel file's are ASCII
+        "side \u00b2\norigin 0 0\nstrokes u",          # superscript two
+        "side \u0662\norigin 0 0\nstrokes urd\n",      # Arabic-Indic two
+        "side 2\norigin \u0661 0\nstrokes urd\n",      # Arabic-Indic one
+        "side 2\norigin \u0660 0\nstrokes urd\n",      # Arabic-Indic zero
+        "side 2\norigin +0 0\nstrokes urd\n",
     ])
     def test_malformed(self, text):
         with pytest.raises(KernelFormatError):
             parse_kernel_text(text)
 
+    def test_side_past_the_int_digit_limit(self):
+        with pytest.raises(KernelFormatError, match="^side"):
+            parse_kernel_text("side 1" + "0" * 5000 + "\norigin 0 0\nstrokes urd\n")
+
+    def test_strokes_are_read_once(self):
+        for name in BUILTIN_KERNELS:
+            spec, fresh = load_bundled(name), validate_kernel(load_bundled(name).path, name)
+            text = format_kernel_text(spec)
+            assert spec.strokes is spec.strokes
+            # reading the strokes changes neither equality, hash nor text
+            assert spec == fresh and hash(spec) == hash(fresh)
+            assert text == format_kernel_text(spec) == format_kernel_text(fresh)
+
     def test_bad_path_in_wellformed_file(self):
         with pytest.raises(BadEntryExit):
             parse_kernel_text("side 2\norigin 0 0\nstrokes rul\n")
+
+
+_NUMBERS = st.one_of(st.sampled_from(["0", "2", "4", "4096", "8192"]),
+                     st.integers(0, 2 ** 80).map(str),
+                     st.text(alphabet="0123456789\u00b2\u0660\u0661\u0662\uff12+-_", min_size=1, max_size=6))
+_SPACES = st.sampled_from([" ", "  ", "\t", "\u3000"])
+# the unit kernel at orders 1 and 2, so some drawn texts are kernels
+_STROKE_TOKENS = st.one_of(st.sampled_from(["urd", "ruluurdrurddldr"]),
+                           st.text(alphabet=STROKES + "xU", max_size=20))
+_EXTRA_LINES = st.lists(st.sampled_from(["", "  ", "# note", "#side 2", "side 2", "origin 0 0",
+                                         "strokes", "urd"]), max_size=2)
+
+
+@st.composite
+def kernel_texts(draw):
+    """(text, side token, whether the three lines are its only content)."""
+    side = draw(_NUMBERS)
+    x, y = draw(st.just(("0", "0")) | st.tuples(_NUMBERS, _NUMBERS))
+    lines = [f"side{draw(_SPACES)}{side}",
+             f"origin{draw(_SPACES)}{x}{draw(_SPACES)}{y}",
+             f"strokes{draw(_SPACES)}{draw(_STROKE_TOKENS)}"]
+    extra = draw(_EXTRA_LINES)
+    for line in extra:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    only = all(not ln.strip() or ln.strip().startswith("#") for ln in extra)
+    return "\n".join(lines), side, only
+
+
+@given(kernel_texts())
+def test_kernel_text_parses_or_raises_a_curve_error(drawn):
+    text, side, only = drawn
+    try:
+        spec = parse_kernel_text(text)
+    except CurveError as exc:
+        if only and side.isascii() and side.isdigit() and int(side) ** 2 > MAX_CELLS:
+            # refused by the side checks, which come before any walk
+            assert isinstance(exc, KernelFormatError) and str(exc).startswith("side"), exc
+        return
+    assert isinstance(spec, KernelSpec)
+    assert parse_kernel_text(format_kernel_text(spec)) == spec
 
 
 @given(st.text(alphabet=STROKES, min_size=3, max_size=3))

@@ -1,8 +1,12 @@
 import hashlib
 import io as _io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,3 +557,24 @@ class TestCliFailures:
                                          "--backend", "both"])
         assert cli.run(args) == cli.EXIT_MISMATCH
         assert "backend disagreement" in capsys.readouterr().err
+
+
+def peak_rss_mib(cwd, *argv) -> float:
+    """Peak RSS of one ``python -m hhck.cli`` child, from os.wait4 (ru_maxrss is KiB on Linux)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen([sys.executable, "-m", "hhck.cli", *argv], cwd=cwd,
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == cli.EXIT_OK, argv
+    return usage.ru_maxrss / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_nu_all_keeps_no_finished_curve(tmp_path):
+    # the loop holds one top-order curve at a time: 32 MiB is two
+    # order-10 unit curves of int64 cells
+    one = peak_rss_mib(tmp_path, "dilation", "--nu", "0", "--order", "10", "-o", "one.json")
+    every = peak_rss_mib(tmp_path, "dilation", "--nu", "all", "--order", "10", "-o", "all")
+    assert every <= one + 32, (one, every)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hhck.affine import build_curve
+from hhck import tags
+from hhck.affine import N_VARIANTS, build_curve
 from hhck.core import STROKES, STROKE_VECTORS, StrokeString, strokes_to_path
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 from hhck.tags import MORPHISM_IMAGES, TAG_RULES, expand, generate
@@ -102,6 +103,24 @@ class TestCrossEngine:
         k = load_bundled(name)
         for n in range(1, 5):
             assert generate(nu, n, k) == build_curve(nu, n, k), (nu, name, n)
+
+    @pytest.mark.parametrize("name", BUILTIN_KERNELS)
+    def test_paths_agree_from_cold_caches_in_reverse_order(self, name):
+        # top variant first, each from order 1, so a variant-5 base is
+        # first met through a reversal-based variant
+        k = load_bundled(name)
+        build_curve.cache_clear()
+        tags._base_str.cache_clear()
+        for nu in reversed(range(N_VARIANTS)):
+            for n in range(1, 5):
+                assert generate(nu, n, k) == build_curve(nu, n, k), (nu, name, n)
+
+    def test_string_cache_holds_bases_only(self, unit):
+        tags._base_str.cache_clear()
+        for nu in range(N_VARIANTS):
+            expand(nu, 6, unit.strokes.strokes)
+        # variant 0 at orders 1-5 and variant 5 at order 5, as in affine
+        assert tags._base_str.cache_info().currsize == 6
 
     def test_expanded_string_walks_the_affine_path(self, unit):
         s = expand(0, 3, "urd")
