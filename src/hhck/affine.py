@@ -38,6 +38,7 @@ from .core import (
     KernelSpec,
     QuadrantEscape,
     _grown_path,
+    check_budget,
 )
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -150,9 +151,11 @@ def grow_once(nu: int, p: CurvePath) -> CurvePath:
     q.quadrant(side), checked to be traversal quadrant i; the four
     traversal quadrants tile the doubled grid; isometries and reversal
     keep king adjacency; and the checked junctions join the images.
+    A result past core.MAX_CELLS is refused before any image is made.
     """
     if not 0 <= nu < N_VARIANTS:
         raise ValueError(f"nu must be 0..{N_VARIANTS - 1}, got {nu}")
+    check_budget(len(p), 2)
     rule = RULE_SETS[nu]
     side = p.side
     images = []
@@ -177,7 +180,8 @@ def build_curve(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
     Order 1 is the kernel itself.  Variants 0..5 grow from the variant-0
     curve of order n-1; variants 6..11 grow from the variant-5 curve of
     order n-1 and coincide with variant 5 at order 2.  The result side
-    is kernel.side * 2**(n-1).
+    is kernel.side * 2**(n-1); past core.MAX_CELLS cells it is refused
+    before any round.
 
     Only those bases are cached (``cache_info``, ``cache_clear``), under 2/3
     of the largest result's cells per kernel; results are not kept.
@@ -186,6 +190,7 @@ def build_curve(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
         raise ValueError(f"nu must be 0..{N_VARIANTS - 1}, got {nu}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    check_budget(len(kernel.path), n)
     if n == 1:
         return kernel.path
     rule = RULE_SETS[nu]

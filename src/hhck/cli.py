@@ -17,7 +17,8 @@ import numpy as np
 
 from . import affine, tags
 from .affine import N_VARIANTS
-from .core import MAX_CELLS, CurveError, CurvePath, KernelSpec
+from .core import MAX_CELLS, CurveError, CurvePath, KernelSpec, NotSpaceFilling, \
+    check_budget
 from .io import json_record, stats_record, write_barrier_ppm, write_curve_csv, \
     write_diffmap_csv, write_diffmap_pgm
 from .kernels import BUILTIN_KERNELS, kernel_checksum, resolve_kernel
@@ -59,13 +60,12 @@ def _nu_values(nu: str) -> list[int]:
 
 
 def _check_budget(order: int, kernel: KernelSpec) -> None:
-    """Refuse a curve of more than MAX_CELLS cells before building it."""
-    # 4**k exceeds MAX_CELLS once k reaches its bit length, so the clamp
-    # keeps the check exact without forming a huge integer
-    doublings = min(order - 1, MAX_CELLS.bit_length())
-    if kernel.side ** 2 * 4 ** doublings > MAX_CELLS:
+    """core.check_budget as a usage error, so an order past MAX_CELLS exits 1."""
+    try:
+        check_budget(len(kernel.path), order)
+    except NotSpaceFilling:
         raise UsageError(f"--order {order} on a side-{kernel.side} kernel exceeds "
-                         f"the budget of {MAX_CELLS} cells")
+                         f"the budget of {MAX_CELLS} cells") from None
 
 
 def _build_path(args: argparse.Namespace, nu: int, kernel: KernelSpec) -> CurvePath:
@@ -132,6 +132,8 @@ def run(args: argparse.Namespace) -> int:
     """Execute parsed arguments; print errors to stderr and return the exit code."""
     try:
         fan_out = args.builds and args.nu == "all"
+        if args.output == "":
+            raise UsageError("--output must name a file or directory")
         if args.builds and args.order < 1:
             raise UsageError(f"--order must be >= 1, got {args.order}")
         if fan_out and args.output is None:
@@ -149,7 +151,7 @@ def run(args: argparse.Namespace) -> int:
             stem = f"{args.command}-{kernel.name}-n{args.order}"
             targets = [(k, out_dir / f"{stem}-nu{k:02d}.{args.format}") for k in nus]
         else:
-            targets = [(nus[0], Path(args.output) if args.output else None)]
+            targets = [(nus[0], None if args.output is None else Path(args.output))]
         for nu, target in targets:
             _emit(args, nu, kernel, target)
         return EXIT_OK

@@ -54,7 +54,7 @@ class CurveError(ValueError):
 
 
 class NotSpaceFilling(CurveError):
-    """The cell sequence does not cover its grid bijectively."""
+    """The cell sequence does not cover its grid bijectively, or its grid is past MAX_CELLS."""
 
 
 class OutOfBounds(NotSpaceFilling):
@@ -85,8 +85,17 @@ class KernelFormatError(CurveError):
     """Kernel file text is malformed."""
 
 
-#: Most cells a curve may have: side 4096, 256 MiB of int64 cells.
+#: Most cells any curve may have (check_budget): side 4096, 256 MiB of int64 cells.
 MAX_CELLS = 1 << 24
+
+
+def check_budget(cells: int, order: int = 1) -> None:
+    """Refuse, before it is grown, a curve of cells * 4**(order-1) cells past MAX_CELLS."""
+    # 4**k exceeds MAX_CELLS once k reaches its bit length, so the clamp
+    # keeps the check exact without forming a huge integer
+    if cells * 4 ** min(order - 1, MAX_CELLS.bit_length()) > MAX_CELLS:
+        what = f"order {order} of a {cells}-cell kernel" if order > 1 else f"a {cells}-cell curve"
+        raise NotSpaceFilling(f"{what} exceeds the budget of {MAX_CELLS} cells")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -149,6 +158,7 @@ class CurvePath:
     wrong cell count (NotSpaceFilling), else the first step that is not
     a king step (NonAdjacentStep).  Before those, a cell that is not an
     integer is refused, and one that int64 cannot hold is OutOfBounds.
+    Before any array is made, more than MAX_CELLS cells are refused.
     """
 
     side: int
@@ -159,6 +169,7 @@ class CurvePath:
         if not isinstance(side, int) or not _is_power_of_two(side):
             raise NotSpaceFilling(f"grid side must be a power of two, got {side!r}")
         cells = self.cells
+        check_budget(len(cells))
         if not isinstance(cells, np.ndarray):
             # as objects, Python ints stay exact: inference would make 2**63 a float
             cells = np.array(cells, dtype=object)
@@ -191,7 +202,12 @@ class CurvePath:
         return self.side == other.side and bool(np.array_equal(self.cells, other.cells))
 
     def __hash__(self) -> int:
-        return hash((self.side, self.cells.tobytes()))
+        # stored, as label_grid is: the cache keys of a kernel hash it on every lookup
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.side, self.cells.tobytes()))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def entry(self) -> GridPoint:

@@ -24,8 +24,8 @@ d2 <= b * max(smallest gap, G); it is dropped, as is a pair whose
 largest gap is below G.  Survivors split into their 16 child pairs
 (10 when I = J) down to single cells, where the ratio is exact; on the
 way the first cell of I and the last of J raise b.  Every prune and
-comparison is an integer cross-multiplication, in int64 while
-2*(side-1)^2 * N < 2^63 and in python ints beyond, so floats only
+comparison is an integer cross-multiplication in int64, exact because
+core.MAX_CELLS keeps 2*(side-1)^2 * N below 2^49, so floats only
 choose which candidate to try and never decide the result.
 
 Difference maps.  The difference map assigns to every cell the mean
@@ -76,8 +76,7 @@ def reference_order(kernel: KernelSpec) -> int:
     return n
 
 
-# exclusive bound of int64, for the choice of arithmetic in
-# dilation_factor and barrier_mask
+# exclusive bound of int64, for the exact sums of diff_stats and barrier_mask
 _INT64_LIMIT = 2 ** 63
 
 # dilation_factor scans every index gap below this exactly
@@ -87,9 +86,6 @@ _CHUNK_PAIRS = 1 << 14
 # child offsets (a, b) of a block pair: block 4I+a against block 4J+b
 _CHILD_I = np.repeat(np.arange(4), 4)
 _CHILD_J = np.tile(np.arange(4), 4)
-
-# exclusive bound of int32, for the choice of arithmetic in difference_map
-_INT32_LIMIT = 2 ** 31
 
 # half of the king offsets; each pair of neighbors is met once, from the
 # cell at (x, y) to the one at (x + dx, y + dy)
@@ -113,6 +109,13 @@ def _raise_best(best: tuple[int, int], d2: np.ndarray, gap: np.ndarray) -> tuple
         bn, bd = int(d2[k]), int(gap[k])
 
 
+def _exact_sum(a: np.ndarray, top: int) -> int:
+    """Sum of int64 entries of magnitude at most top: int64 partial sums over
+    chunks small enough to stay below 2^63, added as python ints."""
+    chunk = max(1, (_INT64_LIMIT - 1) // max(top, 1))
+    return sum(np.add.reduceat(a, np.arange(0, len(a), chunk)).tolist())
+
+
 def _fold4(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     """op over each run of 4 consecutive entries of a."""
     return op(op(a[0::4], a[1::4]), op(a[2::4], a[3::4]))
@@ -125,10 +128,9 @@ def dilation_factor(p: CurvePath) -> Fraction:
         return Fraction(0)
     # d2 <= 2*(side-1)^2 and every gap is below n, so each cross product
     # is below 2*(side-1)^2*n; under core.MAX_CELLS that is d2 < 2^25 times
-    # gap < 2^24, below 2^49.  Larger paths take python ints.
-    exact = np.int64 if 2 * (p.side - 1) ** 2 * n < _INT64_LIMIT else object
-    xs = p.cells[:, 0].astype(exact)
-    ys = p.cells[:, 1].astype(exact)
+    # gap < 2^24, below 2^49, so int64 is exact
+    xs = p.cells[:, 0].copy()
+    ys = p.cells[:, 1].copy()
 
     # every gap below the seed width, scanned exactly
     seed = min(_SEED_GAPS, n)
@@ -139,7 +141,7 @@ def dilation_factor(p: CurvePath) -> Fraction:
         dy *= dy
         dx += dy
         tops.append(dx.max())
-    best = _raise_best((0, 1), np.array(tops, dtype=exact), np.arange(1, seed).astype(exact))
+    best = _raise_best((0, 1), np.array(tops), np.arange(1, seed))
 
     # level L holds the x/y min/max boxes of the n / 4^L blocks of 4^L
     # consecutive cells; n is a power of 4, so the top level is one block
@@ -164,7 +166,7 @@ def dilation_factor(p: CurvePath) -> Fraction:
         dx = np.maximum(x1[cj] - x0[ci], x1[ci] - x0[cj])
         dy = np.maximum(y1[cj] - y0[ci], y1[ci] - y0[cj])
         d2 = dx * dx + dy * dy
-        span = (cj - ci).astype(exact, copy=False)
+        span = cj - ci
         if level == 0:
             best = _raise_best(best, d2, span)
             continue
@@ -177,7 +179,7 @@ def dilation_factor(p: CurvePath) -> Fraction:
         # the first cell of I and the last of J are a realized pair
         first, last = ci * size, (cj + 1) * size - 1
         best = _raise_best(best, (xs[last] - xs[first]) ** 2 + (ys[last] - ys[first]) ** 2,
-                           (last - first).astype(exact, copy=False))
+                           last - first)
         keep = d2 * best[1] > low * best[0]
         ci, cj = ci[keep], cj[keep]
         for k in range(0, len(ci), _CHUNK_PAIRS):
@@ -211,11 +213,10 @@ def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: in
     if convention not in DIVISOR_CONVENTIONS:
         raise ValueError(f"convention must be one of {DIVISOR_CONVENTIONS}, got {convention!r}")
     side = p.side
-    # a cell's sum has at most 8 terms, each below len(p), so int32 is
-    # exact while 8 * len(p) < 2^31; larger paths sum in int64
-    exact = np.int32 if 8 * len(p) < _INT32_LIMIT else np.int64
-    labels = p.label_grid().astype(exact)
-    sums = np.zeros((side, side), dtype=exact)
+    # a cell's sum has at most 8 terms, each below len(p), so under
+    # core.MAX_CELLS it is below 8 * 2^24 = 2^27 and int32 is exact
+    labels = p.label_grid().astype(np.int32)
+    sums = np.zeros((side, side), dtype=np.int32)
     for dx, dy in _FORWARD_OFFSETS:
         here = slice(0, side - dx), slice(max(0, -dy), side - max(0, dy))
         there = slice(dx, side), slice(max(0, dy), side - max(0, -dy))
@@ -223,7 +224,7 @@ def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: in
         np.abs(diff, out=diff)
         sums[here] += diff
         sums[there] += diff
-    num = sums.astype(np.int64, copy=False)
+    num = sums.astype(np.int64)
     if convention == "divisor8":
         return DifferenceMap(side, num, 8, convention, order)
     # 120 = lcm(3, 5, 8): corners have 3 neighbors, the rest of the border
@@ -253,18 +254,21 @@ class DiffStats:
 
 
 def diff_stats(m: DifferenceMap) -> DiffStats:
+    """Exact statistics of any int64 map: nothing is summed or multiplied past int64."""
     flat = m.numerators.ravel()
     n = len(flat)
     den = m.denominator
-    total = int(flat.sum())
     # the one sort: every statistic reads the distinct values and their counts
     values, counts = np.unique(flat, return_counts=True)
+    total = _exact_sum(flat, max(int(values[-1]), -int(values[0])))
     # the middle two order statistics (the same one when n is odd)
     lo, hi = values[np.searchsorted(counts.cumsum(), [(n - 1) // 2, n // 2], side="right")]
     probs = counts / n
     # adding 0.0 turns the -0.0 of a constant map into 0.0
     entropy = float(-(probs * np.log2(probs)).sum()) + 0.0
-    below = int(counts[values * n < total].sum())
+    # an integer is below the mean total/n iff it is below its ceiling,
+    # which an int64 holds, as the mean of int64s lies in their range
+    below = int(counts[values < -(-total // n)].sum())
     inner = m.numerators[1:-1, 1:-1]
     return DiffStats(
         mean=Fraction(total, den * n),
@@ -304,10 +308,7 @@ def barrier_mask(m: DifferenceMap) -> BarrierMask:
     top = max(int(flat.max()), -int(flat.min()))
     if top * top < _INT64_LIMIT and top * n < _INT64_LIMIT:
         a_sum = int(flat.sum())
-        # int64 partial sums over chunks small enough to stay below 2^63,
-        # added as python ints
-        chunk = (_INT64_LIMIT - 1) // max(top * top, 1)
-        sq_sum = sum(np.add.reduceat(flat * flat, np.arange(0, n, chunk)).tolist())
+        sq_sum = _exact_sum(flat * flat, top * top)
         t = flat * n - a_sum
     else:
         values = flat.tolist()

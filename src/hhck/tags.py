@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CurvePath, KernelSpec, STROKES, _walk
+from .core import CurvePath, KernelSpec, STROKES, _walk, check_budget
 
 MORPHISM_IMAGES: dict[str, str] = {
     # image of "urdlabgt" under each operator
@@ -104,13 +104,15 @@ _base_str = lru_cache(maxsize=256)(lambda nu, n, w0: _expand_str(nu, n, w0))
 def expand(nu: int, n: int, kernel_strokes: str) -> str:
     """Grow a kernel stroke string to order n under variant nu.
 
-    Each round turns a string of length L into one of length 4L + 3.
-    The result is unpinned; generate() places it on its grid.
+    Each round turns a string of length L into one of length 4L + 3; a
+    curve past core.MAX_CELLS cells is refused before any round.  The
+    result is unpinned; generate() places it on its grid.
     """
     if not 0 <= nu < len(TAG_RULES):
         raise ValueError(f"nu must be 0..{len(TAG_RULES) - 1}, got {nu}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    check_budget(len(kernel_strokes) + 1, n)
     return _expand_str(nu, n, kernel_strokes)
 
 

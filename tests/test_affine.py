@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hhck import affine, tags
+from hhck import affine, core, tags
 from hhck.affine import (
     AffineMap,
     N_VARIANTS,
@@ -16,8 +16,8 @@ from hhck.affine import (
     build_curve,
     grow_once,
 )
-from hhck.core import AXIAL_STROKES, CurvePath, DiscontinuousJunction, QuadrantEscape, \
-    format_kernel_text, parse_kernel_text, path_to_strokes
+from hhck.core import AXIAL_STROKES, CurvePath, DiscontinuousJunction, NotSpaceFilling, \
+    QuadrantEscape, check_budget, format_kernel_text, parse_kernel_text, path_to_strokes
 
 from oracles import hilbert_d2xy, is_space_filling_walk
 
@@ -213,6 +213,51 @@ class TestBaseCache:
         assert build_curve.cache_info().currsize == 6
         build_curve.cache_clear()
         assert build_curve.cache_info().currsize == 0
+
+
+def _refuse_growth(*args):
+    raise AssertionError("grew a curve past the cell budget")
+
+
+class TestCellBudget:
+    """Every curve is held to core.MAX_CELLS before it is grown or stored."""
+
+    # each call asks for 1,024 cells; the unit order-4 curve has 256
+    PAST_256 = {
+        "build_curve": lambda unit, p4, p5: build_curve(0, 5, unit),
+        "generate": lambda unit, p4, p5: tags.generate(0, 5, unit),
+        "expand": lambda unit, p4, p5: tags.expand(0, 5, "urd"),
+        "grow_once": lambda unit, p4, p5: grow_once(0, p4),
+        "CurvePath": lambda unit, p4, p5: CurvePath(p5.side, p5.cells),
+    }
+
+    @pytest.mark.parametrize("call", PAST_256.values(), ids=PAST_256.keys())
+    def test_refused_before_growing(self, monkeypatch, unit, call):
+        p4, p5 = build_curve(0, 4, unit), build_curve(0, 5, unit)
+        monkeypatch.setattr(core, "MAX_CELLS", 256)
+        monkeypatch.setattr(affine, "grow_once", _refuse_growth)
+        monkeypatch.setattr(tags, "_rewrite", _refuse_growth)
+        with pytest.raises(NotSpaceFilling, match="exceeds the budget of 256 cells$"):
+            call(unit, p4, p5)
+
+    def test_admits_a_curve_of_exactly_the_budget(self, monkeypatch, unit):
+        want = build_curve(0, 4, unit)
+        monkeypatch.setattr(core, "MAX_CELLS", 256)
+        build_curve.cache_clear()
+        assert build_curve(0, 4, unit) == want
+        assert tags.generate(0, 4, unit) == want
+        assert grow_once(0, build_curve(0, 3, unit)) == want
+
+    def test_unit_order_twelve_is_the_largest(self, monkeypatch, unit):
+        monkeypatch.setattr(affine, "grow_once", _refuse_growth)
+        monkeypatch.setattr(tags, "_rewrite", _refuse_growth)
+        check_budget(len(unit.path), 12)
+        for order in (13, 99999999999):
+            with pytest.raises(NotSpaceFilling, match=f"^order {order} of a 4-cell kernel"):
+                check_budget(len(unit.path), order)
+            for engine in (build_curve, tags.generate):
+                with pytest.raises(NotSpaceFilling):
+                    engine(0, order, unit)
 
 
 class TestNesting:

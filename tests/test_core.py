@@ -266,6 +266,13 @@ class TestCurvePathValidation:
         assert first_fault(side, cells) == fault
         assert raised_fault(lambda: CurvePath(side, np.array(cells, dtype=np.int64))) == fault
 
+    def test_hash_is_stored_and_equal_for_equal_curves(self):
+        p = build_curve(3, 4, load_bundled("mouse"))
+        q = CurvePath(p.side, p.cells.copy())
+        assert hash(p) == hash(q) == hash(p)
+        k = load_bundled("frog")
+        assert hash(k) == hash(parse_kernel_text(format_kernel_text(k), name="frog")) == hash(k)
+
     def test_frozen_cells(self):
         p = make_path(UNIT_CELLS)
         with pytest.raises(ValueError):

@@ -1,17 +1,22 @@
+import contextlib
 import hashlib
 import io as _io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hhck import cli, core, io, kernels
+from hhck import cli, core, io, kernels, locality
 from hhck.affine import build_curve
 from hhck.core import CurvePath
 from hhck.io import (
@@ -277,8 +282,12 @@ class TestCliUsage:
         ("reproduce-tables", "--nu", "3"),
         ("reproduce-tables", "--order", "8"),
         ("validate-kernel", "unit", "--order", "2"),
+        # an empty --output names no file: not stdout, not the cwd
+        ("diffmap", "--format", "pgm", "-o", ""),
+        ("generate", "--nu", "all", "--order", "2", "-o", ""),
     ])
-    def test_exit_one(self, capsys, argv):
+    def test_exit_one(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # a regressed "-o ''" would write here
         code, out, _ = run_cli(capsys, *argv)
         assert code == cli.EXIT_USAGE
         assert out == ""
@@ -557,6 +566,96 @@ class TestCliFailures:
                                          "--backend", "both"])
         assert cli.run(args) == cli.EXIT_MISMATCH
         assert "backend disagreement" in capsys.readouterr().err
+
+
+# values any fuzzed flag may take besides its own: out of range, over the
+# cell budget, a non-ASCII digit that int() reads as 3, empty
+FUZZ_VALUES = ("-1", "0", "1", "2", "3", "13", "99999999999", "\u0663", "all", "")
+FUZZ_FLAGS = {
+    "generate": ("--nu", "--order", "--backend"),
+    "analyze": ("--nu", "--order", "--backend", "--convention"),
+    "dilation": ("--nu", "--order", "--backend"),
+    "diffmap": ("--nu", "--order", "--backend", "--convention", "--format"),
+    "validate-kernel": (),
+    "reproduce-tables": ("--convention",),
+}
+# kernel files written into the working directory of each example
+FUZZ_KERNEL_FILES = {
+    "bad.kernel": BAD_KERNEL.encode("ascii"),
+    "accent.kernel": "# caf\u00e9\n".encode("utf-8") + UNIT_KERNEL.encode("ascii"),
+    "caf\u00e9.kernel": UNIT_KERNEL.encode("ascii"),
+}
+# each flag's usual values; the empty output name exits 1
+FUZZ_CHOICES = {
+    "--nu": ("0", "1", "3", "all"), "--order": ("1", "2", "3"),
+    "--backend": ("affine", "tag", "both"), "--convention": DIVISOR_CONVENTIONS,
+    "--format": ("csv", "pgm"), "-o": ("out", "no-dir/out", ""),
+    "--kernel": (*kernels.BUILTIN_KERNELS, "caf\u00e9.kernel"),
+}
+FUZZ_ODD = {"--kernel": ("bad.kernel", "accent.kernel", "missing.kernel", "no-dir/out")}
+
+
+def fuzz_value(flag):
+    return st.sampled_from(FUZZ_CHOICES[flag]) | \
+        st.sampled_from(FUZZ_ODD.get(flag, ()) + FUZZ_VALUES)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command with its own flags, sometimes one it does not take, in any order."""
+    command = draw(st.sampled_from(list(FUZZ_FLAGS)))
+    argv = [command]
+    if command == "validate-kernel":
+        argv.append(draw(fuzz_value("--kernel")))
+    flags = draw(st.lists(st.sampled_from(FUZZ_FLAGS[command] + ("--kernel", "-o")), unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_CHOICES))))
+    for flag in flags:
+        argv += [flag, draw(fuzz_value(flag))]
+    return argv
+
+
+def _capped(build):
+    """build, refusing any curve of more than 1,024 cells (order first: no huge power)."""
+    def capped(nu, order, kernel):
+        assert order <= 5 and len(kernel.path) * 4 ** (order - 1) <= 1024, (nu, order)
+        return build(nu, order, kernel)
+    return capped
+
+
+@given(cli_argvs())
+@settings(max_examples=200)
+def test_fuzzed_argv_ends_in_a_documented_exit(argv):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        for name, data in FUZZ_KERNEL_FILES.items():
+            Path(name).write_bytes(data)
+        # a build past 1,024 cells fails the test: the drawn orders in the
+        # budget are at most 3 (256 cells), and orders past it must be
+        # refused before any build; the reference side shrinks so that
+        # reproduce-tables builds 256 cells too
+        for name, build in list(cli.BACKENDS.items()):
+            mp.setitem(cli.BACKENDS, name, _capped(build))
+        mp.setattr(locality, "REFERENCE_SIDE", 16)
+        out, err = _io.StringIO(), _io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in range(5), code
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if code != cli.EXIT_OK:
+        return
+    if "-o" in argv:
+        assert text == ""
+    elif argv[0] == "generate":
+        read_curve_csv(_io.StringIO(text))
+    elif argv[0] == "diffmap":
+        rows = [line.split(",") for line in text.splitlines()]
+        assert rows and all(len(row) == len(rows) for row in rows)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+    else:
+        assert text.endswith("\n")
+        assert all(isinstance(json.loads(line), dict) for line in text.splitlines())
 
 
 def peak_rss_mib(cwd, *argv) -> float:

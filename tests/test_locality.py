@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhck import locality
 from hhck.affine import build_curve
-from hhck.core import CurvePath, reverse
+from hhck.core import MAX_CELLS, CurvePath, reverse
 from hhck.io import stats_record
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 from hhck.locality import (
@@ -33,6 +32,13 @@ class TestModuleConstants:
         assert DEFAULT_CONVENTION == "divisor8"
         assert DEFAULT_CONVENTION in DIVISOR_CONVENTIONS
         assert REFERENCE_SIDE == 256
+
+    def test_cell_budget_keeps_each_width_exact(self):
+        # dilation cross products are int64 and map sums int32 with no
+        # wider fallback; raising MAX_CELLS past these must fail here
+        side = math.isqrt(MAX_CELLS)
+        assert 2 * (side - 1) ** 2 * MAX_CELLS < 2 ** 63
+        assert 8 * MAX_CELLS < 2 ** 31
 
 
 # unit kernel, order 8 (side 256), variants 0..11, from the exhaustive
@@ -79,13 +85,6 @@ class TestDilation:
             sigma = brute_dilation(p.cells)
             assert dilation_factor(p) == sigma, nu
             assert dilation_factor(reverse(p)) == sigma, nu
-
-    def test_python_int_fallback_matches_brute_force(self, monkeypatch, mouse):
-        # a limit this low sends every product through python ints
-        monkeypatch.setattr(locality, "_INT64_LIMIT", 2 ** 10)
-        for nu in (0, 3, 9):
-            p = build_curve(nu, 3, mouse)
-            assert dilation_factor(p) == brute_dilation(p.cells), nu
 
     @pytest.mark.parametrize("nu", range(12))
     def test_unit_order_eight(self, nu, unit):
@@ -160,18 +159,6 @@ class TestDifferenceMap:
                 brute_diff_values(p.cells.tolist(), fixed8=(convention == "divisor8")), nu
 
     @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
-    def test_int64_sums_match_brute_force(self, monkeypatch, unit, convention):
-        # a limit this low sends every map through int64 sums; at side 128
-        # the largest sums pass 2^15, so a narrower type would show
-        monkeypatch.setattr(locality, "_INT32_LIMIT", 2 ** 4)
-        for nu in (0, 9):
-            p = build_curve(nu, 7, unit)
-            m = difference_map(p, convention)
-            assert m.numerators.dtype == np.int64
-            assert map_values(m) == \
-                brute_diff_values(p.cells.tolist(), fixed8=(convention == "divisor8")), nu
-
-    @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
     def test_side_one_map_is_zero_without_warning(self, convention):
         # one cell has no neighbors; the suite turns warnings into errors
         m = difference_map(CurvePath(1, np.zeros((1, 2), dtype=np.int64)), convention)
@@ -215,10 +202,11 @@ class TestDiffStats:
         assert '"entropy_bits": 0,' in stats_record(s, "divisor8", 1)
         assert s.pct_below_mean == 0
 
-    @given(st.data(), st.sampled_from([8, 120]), st.sampled_from([3, 1 << 20]))
+    @given(st.data(), st.sampled_from([8, 120]), st.sampled_from([3, 1 << 20, (1 << 63) - 1]))
     @settings(max_examples=80)
     def test_synthetic_maps_match_brute_force(self, data, den, top):
-        # odd and even cell counts; a top of 3 makes heavy ties at the median
+        # odd and even cell counts; a top of 3 makes heavy ties at the median,
+        # and the int64 maximum makes sums and products past 2^63
         side = data.draw(st.integers(1, 7))
         values = data.draw(st.lists(st.integers(0, top), min_size=side * side,
                                     max_size=side * side))

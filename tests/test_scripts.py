@@ -4,9 +4,12 @@ Each script runs as the README says, from the repository root with
 PYTHONPATH=src, at a small size.
 """
 
+import contextlib
 import fcntl
 import importlib.util
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +115,12 @@ def test_find_kernels_recovers_bundled_kernel(find_kernels, name):
     ranked = sorted(finalists, key=lambda k: find_kernels.rank_key(k, published))
     assert [k.strokes.strokes for k in ranked] == FINALISTS[name]
     assert FINALISTS[name][0] == kernel.strokes.strokes
+
+
+def test_readme_quick_start_runs():
+    # the README's one python block, run as written; its first line prints side and cells
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block.group(1), "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[0] == "8 64"
