@@ -20,7 +20,6 @@ from .core import (
     NonAdjacentStep,
     NotSpaceFilling,
     OutOfBounds,
-    QuadrantEscape,
     RevisitedCell,
     STROKES,
     STROKE_VECTORS,

@@ -13,12 +13,12 @@ lower-left, upper-left, upper-right, lower-right.  Variants:
 
 Each map is [U, t] with U one of the eight signed permutation matrices
 (the symmetries of the square) and t one of six translation vectors.
-On integer cell coordinates of a side-s input, a matrix row that picks
-a source coordinate c with sign +1 sends it to c + s*t_row, and with
-sign -1 to s*t_row - 1 - c.  This is the unique integer form of
-"transform, add t, halve" that keeps cell centers on cell centers; it
-also folds the translations (2,1) and (1,2) back inside the doubled
-grid.
+``apply_affine`` is the one place [U, t] becomes integer arithmetic: on
+the cells of a side-s input, a matrix row that picks a source
+coordinate c with sign +1 sends it to c + s*t_row, and with sign -1 to
+s*t_row - 1 - c.  This is the unique integer form of "transform, add
+t, halve" that keeps cell centers on cell centers; it also folds the
+translations (2,1) and (1,2) back inside the doubled grid.
 
 Variants 6..11 coincide with variant 5 at order 2 by construction, so
 their own maps first act at order 3.
@@ -36,7 +36,6 @@ from .core import (
     DiscontinuousJunction,
     GridPoint,
     KernelSpec,
-    QuadrantEscape,
     _grown_path,
     check_budget,
 )
@@ -66,24 +65,6 @@ class AffineMap:
             raise ValueError(f"u rows must each have one entry of +-1, got {self.u}")
         if self.t not in T_VECTORS:
             raise ValueError(f"t must be one of {T_VECTORS}, got {self.t}")
-
-    def cell_transform(self, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized form: out[:, k] = sign[k] * cells[:, src[k]] + offset[k]."""
-        src = np.empty(2, dtype=np.int64)
-        sign = np.empty(2, dtype=np.int64)
-        offset = np.empty(2, dtype=np.int64)
-        for axis, row in enumerate(self.u):
-            j = 0 if row[0] != 0 else 1
-            src[axis] = j
-            sign[axis] = row[j]
-            offset[axis] = side * self.t[axis] if row[j] > 0 else side * self.t[axis] - 1
-        return src, sign, offset
-
-    def quadrant(self, side: int) -> tuple[int, int]:
-        """(qx, qy): a side x side input maps onto the box with low corner side * (qx, qy)."""
-        src, sign, offset = self.cell_transform(side)
-        lo = np.minimum(offset, sign * (side - 1) + offset)
-        return (int(lo[0]) // side, int(lo[1]) // side)
 
 
 def _mk(sign: int, letter: str, t_index: int, rev: bool = False) -> AffineMap:
@@ -119,10 +100,6 @@ RULE_SETS: tuple[RuleSet, ...] = (
 
 N_VARIANTS = len(RULE_SETS)
 
-#: (qx, qy) of the quadrant each map's image fills, in traversal order:
-#: lower-left, upper-left, upper-right, lower-right.
-TRAVERSAL_QUADRANTS: tuple[GridPoint, ...] = ((0, 0), (0, 1), (1, 1), (1, 0))
-
 
 def apply_affine(q: AffineMap, p: CurvePath) -> np.ndarray:
     """Cells of a whole path's image under one quadrant map, in traversal order.
@@ -130,40 +107,35 @@ def apply_affine(q: AffineMap, p: CurvePath) -> np.ndarray:
     The (n, 2) array lies on the doubled grid and fills only the map's
     quadrant, so it is not a CurvePath.
     """
-    src, sign, offset = q.cell_transform(p.side)
-    # column by column into C order: p.cells[:, src] would be Fortran
-    # order and cost a transposing copy later
+    side = p.side
+    # column by column into C order: gathering both columns at once
+    # would give Fortran order and cost a transposing copy later
     out = np.empty_like(p.cells)
-    for axis in range(2):
-        col = p.cells[:, src[axis]]
-        if sign[axis] > 0:
-            np.add(col, offset[axis], out=out[:, axis])
+    for axis, (row, t) in enumerate(zip(q.u, q.t)):
+        src = 0 if row[0] else 1
+        if row[src] > 0:
+            np.add(p.cells[:, src], side * t, out=out[:, axis])
         else:
-            np.subtract(offset[axis], col, out=out[:, axis])
+            np.subtract(side * t - 1, p.cells[:, src], out=out[:, axis])
     return out[::-1] if q.reversed else out
 
 
 def grow_once(nu: int, p: CurvePath) -> CurvePath:
     """One growth round: concatenate the four quadrant images.
 
-    The result needs no cell-by-cell check.  Each map is an isometry of
-    the side x side grid, so image i is a bijection onto the box
-    q.quadrant(side), checked to be traversal quadrant i; the four
-    traversal quadrants tile the doubled grid; isometries and reversal
-    keep king adjacency; and the checked junctions join the images.
-    A result past core.MAX_CELLS is refused before any image is made.
+    The result needs no cell-by-cell check.  Each map is an isometry
+    onto a quadrant of the doubled grid that depends on [U, t] alone (a
+    +1 row puts the image's low corner at side*t_row, a -1 row at
+    side*(t_row - 1)), so image i fills traversal quadrant i by a
+    property of the constant RULE_SETS, which the tests check.
+    Isometries and reversal keep king adjacency, and the checked
+    junctions, which depend on the input's entry and exit, join the
+    images.  A result past core.MAX_CELLS is refused before any image.
     """
     if not 0 <= nu < N_VARIANTS:
         raise ValueError(f"nu must be 0..{N_VARIANTS - 1}, got {nu}")
     check_budget(len(p), 2)
-    rule = RULE_SETS[nu]
-    side = p.side
-    images = []
-    for i, (q, quad) in enumerate(zip(rule.maps, TRAVERSAL_QUADRANTS)):
-        if q.quadrant(side) != quad:
-            raise QuadrantEscape(f"variant {nu}: image {i + 1} of {q} escapes"
-                                 f" traversal quadrant {quad}")
-        images.append(apply_affine(q, p))
+    images = [apply_affine(q, p) for q in RULE_SETS[nu].maps]
     for i in range(3):
         tail, head = images[i][-1], images[i + 1][0]
         if int(np.abs(tail - head).max()) > 1:
@@ -171,7 +143,7 @@ def grow_once(nu: int, p: CurvePath) -> CurvePath:
                 f"variant {nu}: junction {i + 1} jumps from {(int(tail[0]), int(tail[1]))}"
                 f" to {(int(head[0]), int(head[1]))}"
             )
-    return _grown_path(2 * side, np.concatenate(images))
+    return _grown_path(2 * p.side, np.concatenate(images))
 
 
 def build_curve(nu: int, n: int, kernel: KernelSpec) -> CurvePath:

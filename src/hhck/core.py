@@ -77,10 +77,6 @@ class DiscontinuousJunction(CurveError):
     """Adjacent quadrant images of a grown curve do not meet."""
 
 
-class QuadrantEscape(CurveError):
-    """A quadrant map sends cells outside its own quadrant."""
-
-
 class KernelFormatError(CurveError):
     """Kernel file text is malformed."""
 
@@ -338,7 +334,7 @@ def validate_kernel(p: CurvePath | "np.ndarray | list", name: str = "kernel") ->
 
 
 def _ascii_int(token: str, what: str) -> int:
-    """A kernel-file number.  int() also takes '²', '١', signs and '_', and fails past 4300 digits."""
+    """A kernel/CSV number: int() also takes '²', '١', signs and '_', and fails past 4300 digits."""
     digits = token.lstrip("0") or "0"
     if not (token.isascii() and token.isdigit()) or len(digits) > 8:  # 10**8 > any in-budget value
         raise KernelFormatError(f"{what} must be ASCII digits below 10**8, got {token[:12]!r}")

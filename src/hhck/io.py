@@ -15,7 +15,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import CurvePath
+from .core import CurvePath, _ascii_int, _is_power_of_two, check_budget
 from .locality import BarrierMask, DifferenceMap, DiffStats
 
 
@@ -65,14 +65,21 @@ def write_curve_csv(fh: IO[str], p: CurvePath, nu: int, order: int, kernel_name:
 def read_curve_csv(fh: IO[str]) -> tuple[dict, CurvePath]:
     """Inverse of write_curve_csv. Returns (header fields, path).
 
-    Empty lines are skipped.  A malformed body raises ValueError: a row
-    that is not three int64 fields, a gap in the index, or a CurveError.
+    Empty lines are skipped.  A malformed file raises ValueError: header
+    numbers that are not ASCII digits or a side that is not a power of
+    two within core.MAX_CELLS, both refused before the body is read; a
+    row that is not three int64 fields, a gap in the index, or a
+    CurveError.
     """
     first = fh.readline().strip().split(",")
     if len(first) != 4:
         raise ValueError("curve CSV: bad header")
-    head = {"nu": int(first[0]), "n": int(first[1]),
-            "kernel": _unescape_name(first[2]), "side": int(first[3])}
+    nu, n, name, side = first
+    head = {"nu": _ascii_int(nu, "curve CSV: nu"), "n": _ascii_int(n, "curve CSV: n"),
+            "kernel": _unescape_name(name), "side": _ascii_int(side, "curve CSV: side")}
+    if not _is_power_of_two(head["side"]):
+        raise ValueError(f"curve CSV: side must be a power of two, got {head['side']}")
+    check_budget(head["side"] ** 2)
     with warnings.catch_warnings():  # an empty body warns, then fails the shape check
         warnings.simplefilter("ignore", UserWarning)
         rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)

@@ -207,8 +207,9 @@ class DifferenceMap:
 def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: int = 0) -> DifferenceMap:
     """Mean absolute label difference with existing king neighbors, per cell.
 
-    ``order`` is carried through to exported records; pass the curve
-    order if known.
+    ``order`` and ``convention`` are only stored on the map: nothing in
+    the library reads them back, and ``io.stats_record`` takes both from
+    its own arguments.
     """
     if convention not in DIVISOR_CONVENTIONS:
         raise ValueError(f"convention must be one of {DIVISOR_CONVENTIONS}, got {convention!r}")

@@ -17,9 +17,34 @@ from hhck.affine import (
     grow_once,
 )
 from hhck.core import AXIAL_STROKES, CurvePath, DiscontinuousJunction, NotSpaceFilling, \
-    QuadrantEscape, check_budget, format_kernel_text, parse_kernel_text, path_to_strokes
+    check_budget, format_kernel_text, parse_kernel_text, path_to_strokes, reverse
 
 from oracles import hilbert_d2xy, is_space_filling_walk
+
+#: (qx, qy) of the quadrant image i must fill, in traversal order:
+#: lower-left, upper-left, upper-right, lower-right.
+QUADRANTS = ((0, 0), (0, 1), (1, 1), (1, 0))
+
+
+def check_rule_table(rule_sets, kernels):
+    """Assert the static facts grow_once trusts about a table of rule sets.
+
+    On every cell of each kernel, every map's image is "transform, add
+    t, halve" on cell centers, 2*img + 1 == U(2c + 1) + 2*side*t, and
+    image i exactly fills traversal quadrant i of the doubled grid.
+    """
+    for rule in rule_sets:
+        for i, (q, quad) in enumerate(zip(rule.maps, QUADRANTS)):
+            for k in kernels:
+                side, cells = k.side, k.path.cells
+                img = apply_affine(q, k.path)
+                centers = (2 * cells + 1) @ np.array(q.u).T + 2 * side * np.array(q.t)
+                assert (2 * img + 1 == (centers[::-1] if q.reversed else centers)).all(), \
+                    f"variant {rule.nu}: image {i + 1} of {q} is not [U, t] on cell centers"
+                lo = side * np.array(quad)
+                box = img.min(axis=0).tolist(), img.max(axis=0).tolist()
+                assert box == (lo.tolist(), (lo + side - 1).tolist()), \
+                    f"variant {rule.nu}: image {i + 1} of {q} escapes traversal quadrant {quad}"
 
 
 class TestRuleSets:
@@ -31,11 +56,9 @@ class TestRuleSets:
         for r in RULE_SETS:
             assert r.base == (0 if r.nu <= 5 else 5)
 
-    def test_quadrant_partition(self):
+    def test_quadrant_partition(self, unit, mouse):
         # the four maps cover LL, UL, UR, LR in that traversal order
-        for r in RULE_SETS:
-            quads = [m.quadrant(2) for m in r.maps]
-            assert quads == [(0, 0), (0, 1), (1, 1), (1, 0)]
+        check_rule_table(RULE_SETS, (unit, mouse))
 
     def test_variant_zero_first_map_transposes(self, unit):
         img = apply_affine(RULE_SETS[0].maps[0], unit.path)
@@ -56,24 +79,22 @@ class TestRuleSets:
         img = apply_affine(q, unit.path)
         assert img.tolist() == unit.path.cells.tolist()[::-1]
 
-    def test_image_outside_its_quadrant_raises(self, monkeypatch, unit):
+    def test_image_outside_its_quadrant_fails_the_table_check(self, unit, mouse):
         # variant 0 with its first two maps swapped: the first image
         # lands upper-left, where traversal quadrant 1 is lower-left
         m = RULE_SETS[0].maps
         swapped = RuleSet(0, (m[1], m[0], m[2], m[3]), 0)
-        monkeypatch.setattr(affine, "RULE_SETS", (swapped,) + RULE_SETS[1:])
-        with pytest.raises(QuadrantEscape, match=r"image 1 .* escapes traversal quadrant \(0, 0\)"):
-            grow_once(0, unit.path)
+        with pytest.raises(AssertionError, match=r"image 1 .* escapes traversal quadrant \(0, 0\)"):
+            check_rule_table((swapped,), (unit, mouse))
 
-    def test_image_outside_the_doubled_grid_raises(self, monkeypatch, unit):
+    def test_image_outside_the_doubled_grid_fails_the_table_check(self, unit, mouse):
         # t = (2, 1) sends the side-2 kernel to x = 4-5 on the side-4 grid
         q = AffineMap(U_MATRICES["I"], (2, 1))
         assert apply_affine(q, unit.path)[:, 0].tolist() == [4, 4, 5, 5]
         m = RULE_SETS[0].maps
         escaped = RuleSet(0, (m[0], m[1], m[2], q), 0)
-        monkeypatch.setattr(affine, "RULE_SETS", (escaped,) + RULE_SETS[1:])
-        with pytest.raises(QuadrantEscape, match=r"image 4 .* escapes traversal quadrant \(1, 0\)"):
-            grow_once(0, unit.path)
+        with pytest.raises(AssertionError, match=r"image 4 .* escapes traversal quadrant \(1, 0\)"):
+            check_rule_table((escaped,), (unit, mouse))
 
     def test_junction_jump_raises(self, monkeypatch, unit):
         # variant 0 with its fourth map reversed: the image stays in the
@@ -85,6 +106,15 @@ class TestRuleSets:
         with pytest.raises(DiscontinuousJunction,
                            match=r"junction 3 jumps from \(3, 2\) to \(3, 0\)"):
             grow_once(0, unit.path)
+
+    @pytest.mark.parametrize("name", ["unit", "mouse"])
+    def test_reversed_input_breaks_every_junction_check(self, request, name):
+        # the table is trusted, the input is not: entering at the
+        # lower-right corner breaks a junction of every variant
+        p = reverse(request.getfixturevalue(name).path)
+        for nu in range(N_VARIANTS):
+            with pytest.raises(DiscontinuousJunction, match=f"^variant {nu}: junction"):
+                grow_once(nu, p)
 
     def test_bad_matrix_rejected(self):
         with pytest.raises(ValueError):

@@ -124,6 +124,30 @@ class TestCurveCsv:
         with pytest.raises(ValueError, match="header"):
             read_curve_csv(_io.StringIO("0,2,unit\n0,0,0\n"))
 
+    @pytest.mark.parametrize("header", ["\u0660,\u0662,unit,\u0664", "0,2,unit,+4",
+                                        "0,2,unit,3", "0,2,unit,0"],
+                             ids=["arabic-indic", "signed", "side-3", "side-0"])
+    def test_header_numbers_are_ascii_and_side_a_power_of_two(self, unit, header):
+        # the body is a valid order-2 unit curve, so only the header can fail
+        buf = _io.StringIO()
+        write_curve_csv(buf, build_curve(0, 2, unit), 0, 2, "unit")
+        body = buf.getvalue().split("\n", 1)[1]
+        with pytest.raises(ValueError, match="^curve CSV: (nu|side) must be"):
+            read_curve_csv(_io.StringIO(header + "\n" + body))
+
+    def test_header_past_the_budget_refused_before_the_body(self, monkeypatch, unit):
+        buf = _io.StringIO()
+        write_curve_csv(buf, build_curve(0, 3, unit), 0, 3, "unit")
+        buf.seek(0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed the body of an over-budget curve CSV")
+
+        monkeypatch.setattr(core, "MAX_CELLS", 16)
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(core.NotSpaceFilling, match="^a 64-cell curve exceeds the budget of 16"):
+            read_curve_csv(buf)
+
     def test_out_of_order_step_rejected(self):
         text = "0,1,unit,2\n0,0,0\n2,0,1\n"
         with pytest.raises(ValueError, match="out of order"):

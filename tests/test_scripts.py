@@ -10,6 +10,7 @@ import importlib.util
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hhck import cli
 from hhck.core import CurvePath, StrokeString, strokes_to_path, validate_kernel
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 
@@ -124,3 +126,20 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block.group(1), "README.md", "exec"), {})
     assert out.getvalue().splitlines()[0] == "8 64"
+
+
+def test_readme_command_lines_run(monkeypatch, tmp_path):
+    # every line of the README's "Command line" block, run in an empty
+    # directory with its repository paths resolved against the root
+    readme = (ROOT / "README.md").read_text("utf-8")
+    lines = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1).splitlines()
+    assert lines and all(line.startswith("hhck ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        argv = [str(ROOT / a) if (ROOT / a).is_file() else a for a in argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv[1:])
+        assert code == cli.EXIT_OK, line
+        assert "-o" in argv or out.getvalue(), line
