@@ -81,7 +81,8 @@ class KernelFormatError(CurveError):
     """Kernel file text is malformed."""
 
 
-#: Most cells any curve may have (check_budget): side 4096, 256 MiB of int64 cells.
+#: Most cells any curve may have (check_budget): side 4096, 128 MiB of int32 cells.
+#: Far below 2**31, so every cell, label, flat index x*side + y and walk sum fits int32.
 MAX_CELLS = 1 << 24
 
 
@@ -98,8 +99,20 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_side(side) -> None:
+    if not isinstance(side, int) or not _is_power_of_two(side):
+        raise NotSpaceFilling(f"grid side must be a power of two, got {side!r}")
+
+
 def _pt(row) -> tuple:
     return (int(row[0]), int(row[1]))
+
+
+def _flat_index(cells: np.ndarray, side: int) -> np.ndarray:
+    """x*side + y of each in-grid int32 cell, on one temporary."""
+    flat = cells[:, 0] * side
+    flat += cells[:, 1]
+    return flat
 
 
 def _raise_first_fault(side: int, cells: np.ndarray) -> None:
@@ -147,14 +160,18 @@ class CurvePath:
     """An ordered, space-filling, king-connected visit of a square grid.
 
     ``cells`` has shape (side*side, 2); row i is the (x, y) cell holding
-    curve label i.  The array is validated and frozen at construction.
+    curve label i.  The array is validated and frozen at construction,
+    and is always C-contiguous int32.
     This is the one check of a cell sequence.  A sequence that fails it
     raises its earliest fault in step order: the first cell that leaves
     the grid (OutOfBounds) or revisits a cell (RevisitedCell), else a
     wrong cell count (NotSpaceFilling), else the first step that is not
     a king step (NonAdjacentStep).  Before those, a cell that is not an
-    integer is refused, and one that int64 cannot hold is OutOfBounds.
-    Before any array is made, more than MAX_CELLS cells are refused.
+    integer is refused.  Cells of another integer type are checked
+    exactly in int64 (a value int64 cannot hold is OutOfBounds) and
+    narrowed once every value is known to lie in [0, side): no value
+    past int32 wraps.  Before any array is made, more than MAX_CELLS
+    cells are refused.
     """
 
     side: int
@@ -162,8 +179,7 @@ class CurvePath:
 
     def __post_init__(self) -> None:
         side = self.side
-        if not isinstance(side, int) or not _is_power_of_two(side):
-            raise NotSpaceFilling(f"grid side must be a power of two, got {side!r}")
+        _check_side(side)
         cells = self.cells
         check_budget(len(cells))
         if not isinstance(cells, np.ndarray):
@@ -171,12 +187,16 @@ class CurvePath:
             cells = np.array(cells, dtype=object)
         if cells.ndim != 2 or cells.shape[1] != 2:
             raise NotSpaceFilling("cells must be an (n, 2) array of grid points")
-        cells = np.ascontiguousarray(cells if cells.dtype == np.int64 else _exact_int64(side, cells))
+        if cells.dtype not in (np.int32, np.int64):
+            cells = _exact_int64(side, cells)
         ok = len(cells) == side * side and cells.min() >= 0 and cells.max() < side
         if ok:
+            # every value is in [0, side) and side*side <= MAX_CELLS, so the
+            # narrowing is exact (and copies nothing for contiguous int32)
+            cells = np.ascontiguousarray(cells, dtype=np.int32)
             # side*side cells in range: all marked iff none repeats
             seen = np.zeros(side * side, dtype=bool)
-            seen[cells[:, 0] * side + cells[:, 1]] = True
+            seen[_flat_index(cells, side)] = True
             ok = bool(seen.all())
         if ok:
             # the raveled cells interleave x and y, so entries two apart
@@ -220,8 +240,11 @@ class CurvePath:
         """Return grid[x, y] = curve label of cell (x, y)."""
         grid = self.__dict__.get("_label_grid")
         if grid is None:
-            grid = np.empty((self.side, self.side), dtype=np.int64)
-            grid[self.cells[:, 0], self.cells[:, 1]] = np.arange(len(self.cells))
+            side = self.side
+            # one flat scatter: a 2-D one converts both index columns to intp
+            grid = np.empty(side * side, dtype=np.int32)
+            grid[_flat_index(self.cells, side)] = np.arange(len(self.cells), dtype=np.int32)
+            grid = grid.reshape(side, side)
             grid.flags.writeable = False
             object.__setattr__(self, "_label_grid", grid)
         return grid
@@ -230,7 +253,7 @@ class CurvePath:
 def _grown_path(side: int, cells: np.ndarray) -> CurvePath:
     """A CurvePath its construction proved valid (grow_once, reverse); skips ``__post_init__``."""
     p = object.__new__(CurvePath)
-    cells = np.ascontiguousarray(cells, dtype=np.int64)
+    cells = np.ascontiguousarray(cells)
     cells.flags.writeable = False
     object.__setattr__(p, "side", side)
     object.__setattr__(p, "cells", cells)
@@ -256,8 +279,8 @@ class StrokeString:
 
 
 # x and y step of each stroke letter, indexed by its ASCII code
-_STEP_X = np.zeros(256, dtype=np.int64)
-_STEP_Y = np.zeros(256, dtype=np.int64)
+_STEP_X = np.zeros(256, dtype=np.int32)
+_STEP_Y = np.zeros(256, dtype=np.int32)
 # stroke letter (ASCII code) of each king step, indexed by (dx + 1) * 3 + (dy + 1)
 _STEP_LETTERS = np.zeros(9, dtype=np.uint8)
 for _letter, (_dx, _dy) in STROKE_VECTORS.items():
@@ -267,23 +290,38 @@ for _letter, (_dx, _dy) in STROKE_VECTORS.items():
 
 
 def _walk(strokes: str, origin: GridPoint) -> np.ndarray:
-    """Cumulative positions of a stroke string, origin included.
+    """Cumulative int32 positions of a stroke string, origin included.
 
     Each axis is gathered and summed on its own, which numpy does much
     faster than the same work along the short axis of an (n, 2) array.
+    The caller keeps every sum below 2**31: an origin inside a grid
+    within MAX_CELLS and at most MAX_CELLS strokes.
     """
-    pos = np.empty((len(strokes) + 1, 2), dtype=np.int64)
+    pos = np.empty((len(strokes) + 1, 2), dtype=np.int32)
     idx = np.frombuffer(strokes.encode("ascii"), dtype=np.uint8)
     for axis, step in enumerate((_STEP_X, _STEP_Y)):
         col = pos[:, axis]
         col[0] = origin[axis]
-        np.cumsum(step[idx], out=col[1:])
+        np.cumsum(step[idx], dtype=np.int32, out=col[1:])
         col[1:] += origin[axis]
     return pos
 
 
 def strokes_to_path(s: StrokeString, side: int) -> CurvePath:
-    """Materialize a stroke string as a space-filling path on a side x side grid."""
+    """Materialize a stroke string as a space-filling path on a side x side grid.
+
+    CurvePath checks the walk.  Before it is made, a side that is not a
+    power of two, more than MAX_CELLS cells or a grid past MAX_CELLS
+    (which no curve within the budget fills) raise NotSpaceFilling, and
+    an origin outside the grid is OutOfBounds at step 0, which cannot be
+    a revisit; so every walk fits int32.
+    """
+    _check_side(side)
+    check_budget(len(s) + 1)
+    check_budget(side * side)
+    x, y = s.origin
+    if not (0 <= x < side and 0 <= y < side):
+        raise OutOfBounds(f"cell {s.origin} at step 0 leaves the {side}x{side} grid")
     return CurvePath(side, _walk(s.strokes, s.origin))
 
 

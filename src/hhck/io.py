@@ -15,6 +15,7 @@ from typing import IO
 
 import numpy as np
 
+from .affine import N_VARIANTS
 from .core import CurvePath, _ascii_int, _is_power_of_two, check_budget
 from .locality import BarrierMask, DifferenceMap, DiffStats
 
@@ -66,10 +67,11 @@ def read_curve_csv(fh: IO[str]) -> tuple[dict, CurvePath]:
     """Inverse of write_curve_csv. Returns (header fields, path).
 
     Empty lines are skipped.  A malformed file raises ValueError: header
-    numbers that are not ASCII digits or a side that is not a power of
-    two within core.MAX_CELLS, both refused before the body is read; a
-    row that is not three int64 fields, a gap in the index, or a
-    CurveError.
+    numbers that are not ASCII digits, a side that is not a power of two
+    within core.MAX_CELLS, a nu outside 0..N_VARIANTS-1, or an order n
+    below 1 or with 2**n past the side (a kernel's side is at least 2),
+    all refused before the body is read; a row that is not three int64
+    fields, a gap in the index, or a CurveError.
     """
     first = fh.readline().strip().split(",")
     if len(first) != 4:
@@ -80,6 +82,11 @@ def read_curve_csv(fh: IO[str]) -> tuple[dict, CurvePath]:
     if not _is_power_of_two(head["side"]):
         raise ValueError(f"curve CSV: side must be a power of two, got {head['side']}")
     check_budget(head["side"] ** 2)
+    if head["nu"] >= N_VARIANTS:
+        raise ValueError(f"curve CSV: nu must be 0..{N_VARIANTS - 1}, got {head['nu']}")
+    top = head["side"].bit_length() - 1
+    if not 1 <= head["n"] <= top:
+        raise ValueError(f"curve CSV: n must be 1..{top} for side {head['side']}, got {head['n']}")
     with warnings.catch_warnings():  # an empty body warns, then fails the shape check
         warnings.simplefilter("ignore", UserWarning)
         rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)

@@ -128,9 +128,9 @@ def dilation_factor(p: CurvePath) -> Fraction:
         return Fraction(0)
     # d2 <= 2*(side-1)^2 and every gap is below n, so each cross product
     # is below 2*(side-1)^2*n; under core.MAX_CELLS that is d2 < 2^25 times
-    # gap < 2^24, below 2^49, so int64 is exact
-    xs = p.cells[:, 0].copy()
-    ys = p.cells[:, 1].copy()
+    # gap < 2^24, below 2^49, so int64 is exact (the cells are int32)
+    xs = p.cells[:, 0].astype(np.int64)
+    ys = p.cells[:, 1].astype(np.int64)
 
     # every gap below the seed width, scanned exactly
     seed = min(_SEED_GAPS, n)
@@ -215,8 +215,9 @@ def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: in
         raise ValueError(f"convention must be one of {DIVISOR_CONVENTIONS}, got {convention!r}")
     side = p.side
     # a cell's sum has at most 8 terms, each below len(p), so under
-    # core.MAX_CELLS it is below 8 * 2^24 = 2^27 and int32 is exact
-    labels = p.label_grid().astype(np.int32)
+    # core.MAX_CELLS it is below 8 * 2^24 = 2^27 and int32 is exact, as
+    # are the int32 labels
+    labels = p.label_grid()
     sums = np.zeros((side, side), dtype=np.int32)
     for dx, dy in _FORWARD_OFFSETS:
         here = slice(0, side - dx), slice(max(0, -dy), side - max(0, dy))

@@ -183,7 +183,7 @@ class TestBuildCurve:
         for rule in RULE_SETS:
             p = grow_once(rule.nu, bases[rule.base])
             assert p.side == 16 and p.cells.shape == (256, 2)
-            assert p.cells.dtype == np.int64 and p.cells.flags.c_contiguous
+            assert p.cells.dtype == np.int32 and p.cells.flags.c_contiguous
             assert not p.cells.flags.writeable
 
     def test_kernel_validation_grows_nothing(self, monkeypatch, mouse):

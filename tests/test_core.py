@@ -1,3 +1,4 @@
+import io as _io
 import re
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hhck.affine import N_VARIANTS, build_curve
+from hhck import core, tags
+from hhck.affine import N_VARIANTS, build_curve, grow_once
 from hhck.core import (
     AXIAL_STROKES,
     BadEntryExit,
@@ -30,6 +32,7 @@ from hhck.core import (
     strokes_to_path,
     validate_kernel,
 )
+from hhck.io import read_curve_csv, write_curve_csv
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 
 from oracles import brute_strokes, first_fault
@@ -110,6 +113,31 @@ class TestStrokesToPath:
         with pytest.raises(RevisitedCell):
             strokes_to_path(StrokeString("url", (0, 0)), 2)
 
+    @pytest.mark.parametrize("origin", [(2 ** 31, 0), (0, 2 ** 31), (2 ** 63, 1), (2 ** 70, 0),
+                                        (-1, 0), (1, -2 ** 70)])
+    def test_origin_outside_the_grid_is_refused_before_the_walk(self, monkeypatch, origin):
+        # an int32 walk cannot start from these, so none may be walked
+        monkeypatch.setattr(core, "_walk", None)
+        with pytest.raises(OutOfBounds) as info:
+            strokes_to_path(StrokeString("urd", origin), 2)
+        assert str(info.value) == f"cell {origin} at step 0 leaves the 2x2 grid"
+
+    @pytest.mark.parametrize("strokes,side,message", [
+        ("u" * 16, 4, "^a 17-cell curve exceeds the budget of 16 cells$"),
+        ("u", 8, "^a 64-cell curve exceeds the budget of 16 cells$"),
+        ("u", 2 ** 40, f"^a {2 ** 80}-cell curve exceeds the budget of 16 cells$"),
+    ], ids=["strokes", "grid", "grid-past-int32"])
+    def test_budget_is_checked_before_the_walk(self, monkeypatch, strokes, side, message):
+        monkeypatch.setattr(core, "MAX_CELLS", 16)
+        monkeypatch.setattr(core, "_walk", None)
+        with pytest.raises(NotSpaceFilling, match=message):
+            strokes_to_path(StrokeString(strokes, (side - 1, 0)), side)
+
+    def test_side_is_checked_first(self):
+        for side in (3, "4", 2.0):
+            with pytest.raises(NotSpaceFilling, match="^grid side must be a power of two"):
+                strokes_to_path(StrokeString("urd", (9, 0)), side)
+
     def test_bad_letter_rejected_at_construction(self):
         with pytest.raises(CurveError):
             StrokeString("urz", (0, 0))
@@ -156,7 +184,7 @@ class TestWalk:
             dx, dy = STROKE_VECTORS[letter]
             want.append((want[-1][0] + dx, want[-1][1] + dy))
         pos = _walk(strokes, (x0, y0))
-        assert pos.dtype == np.int64 and pos.flags.c_contiguous
+        assert pos.dtype == np.int32 and pos.flags.c_contiguous
         assert [tuple(c) for c in pos.tolist()] == want
 
 
@@ -266,6 +294,33 @@ class TestCurvePathValidation:
         assert first_fault(side, cells) == fault
         assert raised_fault(lambda: CurvePath(side, np.array(cells, dtype=np.int64))) == fault
 
+    @pytest.mark.parametrize("dtype,cells,error,message", [
+        (np.int64, [(0, 0), (0, 1), (2 ** 31, 1), (1, 0)], OutOfBounds,
+         f"cell ({2 ** 31}, 1) at step 2 leaves the 2x2 grid"),
+        (np.int64, [(0, 0), (0, 1), (1, 1), (1, -2 ** 31 - 1)], OutOfBounds,
+         f"cell (1, {-2 ** 31 - 1}) at step 3 leaves the 2x2 grid"),
+        # int32 would wrap 2**32 to 0 and the cell to a revisit of (0, 0)
+        (np.int64, [(0, 0), (0, 1), (1, 1), (2 ** 32, 0)], OutOfBounds,
+         f"cell ({2 ** 32}, 0) at step 3 leaves the 2x2 grid"),
+        (np.uint64, [(0, 0), (0, 1), (1, 1), (2 ** 31, 0)], OutOfBounds,
+         f"cell ({2 ** 31}, 0) at step 3 leaves the 2x2 grid"),
+        (np.uint64, [(0, 0), (0, 1), (1, 1), (2 ** 32, 0)], OutOfBounds,
+         f"cell ({2 ** 32}, 0) at step 3 leaves the 2x2 grid"),
+        # a revisit before the cell past int32 still comes first
+        (np.int64, [(0, 0), (0, 1), (0, 1), (2 ** 31, 0)], RevisitedCell,
+         "cell (0, 1) revisited at step 2"),
+        (np.int64, [(0, 0), (0, 0), (1, 1), (1, -2 ** 31 - 1)], RevisitedCell,
+         "cell (0, 0) revisited at step 1"),
+        (np.uint64, [(0, 0), (1, 1), (1, 1), (2 ** 31, 0)], RevisitedCell,
+         "cell (1, 1) revisited at step 2"),
+    ], ids=["int64-2**31", "int64-below-int32", "int64-2**32", "uint64-2**31", "uint64-2**32",
+            "revisit-then-2**31", "revisit-then-below-int32", "uint64-revisit-then-2**31"])
+    def test_values_past_int32_never_wrap(self, dtype, cells, error, message):
+        with pytest.raises(error) as info:
+            CurvePath(2, np.array(cells, dtype=dtype))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     def test_hash_is_stored_and_equal_for_equal_curves(self):
         p = build_curve(3, 4, load_bundled("mouse"))
         q = CurvePath(p.side, p.cells.copy())
@@ -284,6 +339,40 @@ class TestCurvePathValidation:
         p = build_curve(nu, 4 if k.side == 2 else 3, k)
         i %= len(p)
         assert p.label_grid()[p.point(i)] == i
+
+
+def _read_back(p: CurvePath) -> CurvePath:
+    buf = _io.StringIO()
+    write_curve_csv(buf, p, 3, 3, "mouse")
+    buf.seek(0)
+    return read_curve_csv(buf)[1]
+
+
+# every way to get a CurvePath, each from the order-3 variant-3 mouse curve
+PRODUCERS = {
+    "build_curve": lambda k, p: build_curve(3, 3, k),
+    "grow_once": lambda k, p: grow_once(3, build_curve(0, 2, k)),
+    "tags.generate": lambda k, p: tags.generate(3, 3, k),
+    "strokes_to_path": lambda k, p: strokes_to_path(path_to_strokes(p), p.side),
+    "reverse": lambda k, p: reverse(reverse(p)),
+    "read_curve_csv": lambda k, p: _read_back(p),
+    "int64": lambda k, p: CurvePath(p.side, p.cells.astype(np.int64)),
+    "uint8": lambda k, p: CurvePath(p.side, p.cells.astype(np.uint8)),
+    "object": lambda k, p: CurvePath(p.side, p.cells.astype(object)),
+    "list": lambda k, p: CurvePath(p.side, p.cells.tolist()),
+    "int32-fortran": lambda k, p: CurvePath(p.side, np.asfortranarray(p.cells)),
+}
+
+
+@pytest.mark.parametrize("make", PRODUCERS.values(), ids=PRODUCERS.keys())
+def test_every_producer_returns_frozen_contiguous_int32_cells(make):
+    k = load_bundled("mouse")
+    p = build_curve(3, 3, k)
+    q = make(k, p)
+    assert q.cells.dtype == np.int32
+    assert q.cells.flags.c_contiguous and not q.cells.flags.writeable
+    assert q == p and hash(q) == hash(p)
+    assert q.label_grid().dtype == np.int32
 
 
 # both entry points of the one cell check; validate_kernel sizes the grid itself
@@ -324,7 +413,8 @@ class TestCellTypes:
     def test_integer_arrays_accepted(self, check, dtype):
         p = check(np.array(UNIT_CELLS, dtype=dtype))
         p = getattr(p, "path", p)
-        assert p.cells.dtype == np.int64
+        assert p.cells.dtype == np.int32 and p.cells.flags.c_contiguous
+        assert not p.cells.flags.writeable
         assert p == make_path(UNIT_CELLS)
 
 

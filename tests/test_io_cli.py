@@ -135,6 +135,39 @@ class TestCurveCsv:
         with pytest.raises(ValueError, match="^curve CSV: (nu|side) must be"):
             read_curve_csv(_io.StringIO(header + "\n" + body))
 
+    @pytest.mark.parametrize("header,message", [
+        ("12,2,unit,4", "nu must be 0..11, got 12"),
+        ("99,40,unit,2", "nu must be 0..11, got 99"),
+        ("0,0,unit,4", "n must be 1..2 for side 4, got 0"),
+        ("0,40,unit,2", "n must be 1..1 for side 2, got 40"),
+        ("0,3,unit,4", "n must be 1..2 for side 4, got 3"),
+        ("0,1,unit,1", "n must be 1..0 for side 1, got 1"),
+    ], ids=["nu-12", "nu-99-n-40", "n-0", "n-40", "2**n-past-side", "side-1"])
+    def test_header_no_curve_can_have_refused_before_the_body(self, monkeypatch, unit,
+                                                               header, message):
+        buf = _io.StringIO()
+        write_curve_csv(buf, build_curve(0, 2, unit), 0, 2, "unit")
+        body = buf.getvalue().split("\n", 1)[1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed the body of an impossible curve CSV")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(ValueError) as info:
+            read_curve_csv(_io.StringIO(header + "\n" + body))
+        assert str(info.value) == "curve CSV: " + message
+
+    @pytest.mark.parametrize("header", ["11,2,unit,4", "0,1,mouse,4", "5,2,frog,4"])
+    def test_header_any_curve_can_have_is_read(self, unit, header):
+        # the header is not checked against the body: a side-4 curve of
+        # order 1 (a 4x4 kernel) or order 2 (the unit kernel) is possible
+        buf = _io.StringIO()
+        write_curve_csv(buf, build_curve(0, 2, unit), 0, 2, "unit")
+        body = buf.getvalue().split("\n", 1)[1]
+        head, p = read_curve_csv(_io.StringIO(header + "\n" + body))
+        assert [str(v) for v in head.values()] == header.split(",")
+        assert p == build_curve(0, 2, unit)
+
     def test_header_past_the_budget_refused_before_the_body(self, monkeypatch, unit):
         buf = _io.StringIO()
         write_curve_csv(buf, build_curve(0, 3, unit), 0, 3, "unit")
@@ -696,8 +729,8 @@ def peak_rss_mib(cwd, *argv) -> float:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_nu_all_keeps_no_finished_curve(tmp_path):
-    # the loop holds one top-order curve at a time: 32 MiB is two
-    # order-10 unit curves of int64 cells
+    # the loop holds one top-order curve at a time: 32 MiB is four
+    # order-10 unit curves of int32 cells
     one = peak_rss_mib(tmp_path, "dilation", "--nu", "0", "--order", "10", "-o", "one.json")
     every = peak_rss_mib(tmp_path, "dilation", "--nu", "all", "--order", "10", "-o", "all")
     assert every <= one + 32, (one, every)

@@ -39,6 +39,11 @@ class TestModuleConstants:
         side = math.isqrt(MAX_CELLS)
         assert 2 * (side - 1) ** 2 * MAX_CELLS < 2 ** 63
         assert 8 * MAX_CELLS < 2 ** 31
+        # cells, labels and flat indices x*side + y are int32 and below
+        # MAX_CELLS; a walk sums at most MAX_CELLS unit steps onto an
+        # origin inside the grid
+        assert MAX_CELLS < 2 ** 31
+        assert side + MAX_CELLS < 2 ** 31
 
 
 # unit kernel, order 8 (side 256), variants 0..11, from the exhaustive
