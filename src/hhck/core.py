@@ -251,7 +251,7 @@ class CurvePath:
 
 
 def _grown_path(side: int, cells: np.ndarray) -> CurvePath:
-    """A CurvePath its construction proved valid (grow_once, reverse); skips ``__post_init__``."""
+    """A CurvePath its construction proved valid (grow_once, reverse, tags.generate): no check."""
     p = object.__new__(CurvePath)
     cells = np.ascontiguousarray(cells)
     cells.flags.writeable = False
@@ -278,32 +278,38 @@ class StrokeString:
         return len(self.strokes)
 
 
-# x and y step of each stroke letter, indexed by its ASCII code
-_STEP_X = np.zeros(256, dtype=np.int32)
-_STEP_Y = np.zeros(256, dtype=np.int32)
+# bytes.translate tables, x then y: the signed-byte step of each stroke
+# letter at its ASCII code, and step 0 at every other byte
+_AXIS_STEPS = tuple(
+    bytes(STROKE_VECTORS.get(chr(code), (0, 0))[axis] & 0xFF for code in range(256))
+    for axis in (0, 1)
+)
 # stroke letter (ASCII code) of each king step, indexed by (dx + 1) * 3 + (dy + 1)
 _STEP_LETTERS = np.zeros(9, dtype=np.uint8)
 for _letter, (_dx, _dy) in STROKE_VECTORS.items():
-    _STEP_X[ord(_letter)] = _dx
-    _STEP_Y[ord(_letter)] = _dy
     _STEP_LETTERS[(_dx + 1) * 3 + _dy + 1] = ord(_letter)
 
 
 def _walk(strokes: str, origin: GridPoint) -> np.ndarray:
     """Cumulative int32 positions of a stroke string, origin included.
 
-    Each axis is gathered and summed on its own, which numpy does much
-    faster than the same work along the short axis of an (n, 2) array.
-    The caller keeps every sum below 2**31: an origin inside a grid
-    within MAX_CELLS and at most MAX_CELLS strokes.
+    ``bytes.translate`` maps the ASCII strokes of each axis through a
+    256-byte table to their -1/0/+1 steps, read in place as int8; the
+    steps are summed with an int32 accumulator straight into that axis's
+    column, because an int8 or int16 sum wraps after 128 or 32,768
+    strokes one way.  One axis at a time is much faster in numpy than the
+    same work along the short axis of an (n, 2) array.  The caller keeps
+    every sum below 2**31: an origin inside a grid within MAX_CELLS and
+    at most MAX_CELLS strokes.
     """
     pos = np.empty((len(strokes) + 1, 2), dtype=np.int32)
-    idx = np.frombuffer(strokes.encode("ascii"), dtype=np.uint8)
-    for axis, step in enumerate((_STEP_X, _STEP_Y)):
+    raw = strokes.encode("ascii")
+    for axis, table in enumerate(_AXIS_STEPS):
         col = pos[:, axis]
         col[0] = origin[axis]
-        np.cumsum(step[idx], dtype=np.int32, out=col[1:])
-        col[1:] += origin[axis]
+        np.cumsum(np.frombuffer(raw.translate(table), dtype=np.int8), dtype=np.int32, out=col[1:])
+        if origin[axis]:
+            col[1:] += origin[axis]
     return pos
 
 

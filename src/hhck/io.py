@@ -122,13 +122,11 @@ def write_diffmap_csv(fh: IO[str], m: DifferenceMap) -> None:
     _write_rows(fh, text[np.searchsorted(values, m.numerators)], ",")
 
 
-def _log_gray(m: DifferenceMap) -> np.ndarray:
-    """8-bit gray levels on a log scale, brightest at the map maximum."""
-    v = m.numerators / float(m.denominator)
-    top = math.log1p(v.max())
+def _log_gray(numerators: np.ndarray, den: int, top: float) -> np.ndarray:
+    """8-bit gray levels of map numerators on a log scale; top is log1p of the map maximum."""
     if top == 0.0:
-        return np.zeros(v.shape, dtype=np.int64)
-    g = np.floor(255.0 * np.log1p(v) / top + 0.5).astype(np.int64)
+        return np.zeros(numerators.shape, dtype=np.int64)
+    g = np.floor(255.0 * np.log1p(numerators / float(den)) / top + 0.5).astype(np.int64)
     return np.clip(g, 0, 255)
 
 
@@ -136,17 +134,39 @@ def _log_gray(m: DifferenceMap) -> np.ndarray:
 _PGM_PIXELS = np.array([str(v) for v in range(256)], dtype=object)
 _PPM_PIXELS = np.array([f"{v} {v} {v}" for v in range(256)] + ["0 0 255"], dtype=object)
 
+# cells of gray levels and pixel text held at a time, in whole rows: a map
+# up to side 256 is one band
+_PIXEL_BAND = 1 << 16
+
+
+def _write_pixels(fh: IO[str], m: DifferenceMap, pixels: np.ndarray,
+                  flags: np.ndarray | None = None) -> None:
+    """Pixel text of the map's gray levels, top row first, in bands of whole rows.
+
+    A flagged cell takes the last pixel.  The scale is global: division
+    is monotone, so log1p(max / den) is the log1p of the largest value.
+    """
+    side, den = m.side, m.denominator
+    top = math.log1p(float(m.numerators.max()) / den)
+    rows = max(1, _PIXEL_BAND // side)
+    for hi in range(side, 0, -rows):
+        band = slice(max(0, hi - rows), hi)  # rows are y, the map's second axis
+        gray = _log_gray(m.numerators[:, band], den, top)
+        if flags is not None:
+            gray = np.where(flags[:, band], len(pixels) - 1, gray)
+        _write_rows(fh, pixels[gray], " ")
+
 
 def write_diffmap_pgm(fh: IO[str], m: DifferenceMap) -> None:
     """Plain PGM (P2), log-scaled gray, top row first."""
     fh.write(f"P2\n{m.side} {m.side}\n255\n")
-    _write_rows(fh, _PGM_PIXELS[_log_gray(m)], " ")
+    _write_pixels(fh, m, _PGM_PIXELS)
 
 
 def write_barrier_ppm(fh: IO[str], m: DifferenceMap, mask: BarrierMask) -> None:
     """Plain PPM (P3): the PGM rendering with barrier cells in blue."""
     fh.write(f"P3\n{m.side} {m.side}\n255\n")
-    _write_rows(fh, _PPM_PIXELS[np.where(mask.flags, 256, _log_gray(m))], " ")
+    _write_pixels(fh, m, _PPM_PIXELS, mask.flags)
 
 
 STATS_FIELDS = ("mean", "max", "min", "median", "entropy_bits", "pct_below_mean",

@@ -18,13 +18,19 @@ where each slot applies one operator (or none) and optionally an
 overbar.  The overbar reverses the letter order of the slot without
 flipping the letters; geometrically that is traversal reversal combined
 with a half turn, which is exactly how the reversed quadrant maps of
-the rule sets act on strokes.  The three connector strokes u, r, d are
-the junctions between quadrant images and are the same for all twelve
-variants.
+the rule sets act on strokes.  The three connector strokes u, r, d
+(``CONNECTORS``) are the junctions between quadrant images and are the
+same for all twelve variants.
 
-The rewritten string fixes the curve only up to translation; a grown
-curve is pinned to its grid by shifting the walk so its bounding box
-starts at (0, 0).
+The grown curve is trusted, not checked cell by cell.  The tests prove
+that ``TAG_RULES`` is the stroke image of ``affine.RULE_SETS``: each
+slot's operator is its map's U, or -U with the overbar exactly when the
+map is reversed, and each connector is the junction step that the base
+curves' corners fix.  Those corners follow from a kernel that runs from
+(0, 0) to (side - 1, 0), which ``generate`` checks in O(1).  So the
+expanded string is the stroke string of ``affine.build_curve``'s valid
+curve, and walking it and shifting the walk so its bounding box starts
+at (0, 0) gives that curve.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CurvePath, KernelSpec, STROKES, _walk, check_budget
+from .core import BadEntryExit, CurvePath, KernelSpec, STROKES, _grown_path, _walk, check_budget
 
 MORPHISM_IMAGES: dict[str, str] = {
     # image of "urdlabgt" under each operator
@@ -53,12 +59,15 @@ _MORPHISM_TABLES = {
 }
 
 
+#: the junction strokes between slots 1-2, 2-3 and 3-4 of every variant
+CONNECTORS = "urd"
+
 Slot = tuple[str | None, bool]  # (operator name or None, overbar)
 
 
 @dataclass(frozen=True)
 class TagRule:
-    """The four rewrite slots of one variant (connectors are always u, r, d)."""
+    """The four rewrite slots of one variant (the connectors are CONNECTORS)."""
 
     nu: int
     slots: tuple[Slot, Slot, Slot, Slot]
@@ -85,7 +94,8 @@ def _rewrite(rule: TagRule, w: str) -> str:
     for op, barred in rule.slots:
         s = w.translate(_MORPHISM_TABLES[op]) if op else w
         parts.append(s[::-1] if barred else s)
-    return parts[0] + "u" + parts[1] + "r" + parts[2] + "d" + parts[3]
+    u, r, d = CONNECTORS
+    return parts[0] + u + parts[1] + r + parts[2] + d + parts[3]
 
 
 def _expand_str(nu: int, n: int, w0: str) -> str:
@@ -117,8 +127,18 @@ def expand(nu: int, n: int, kernel_strokes: str) -> str:
 
 
 def generate(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
-    """The order-n curve of variant nu, built by string rewriting alone."""
+    """The order-n curve of variant nu, built by string rewriting alone.
+
+    Trusted without a cell check (see the module docstring).  A kernel
+    that does not run from (0, 0) to (side - 1, 0), which KernelSpec
+    does not enforce, is refused with BadEntryExit before any round.
+    """
+    p = kernel.path
+    if p.entry != (0, 0) or p.exit != (p.side - 1, 0):
+        raise BadEntryExit(
+            f"kernel must run from (0, 0) to ({p.side - 1}, 0), got {p.entry} to {p.exit}"
+        )
     pos = _walk(expand(nu, n, kernel.strokes.strokes), (0, 0))
     for col in pos.T:  # 1-D mins; pos.min(axis=0) reduces along the short axis
         col -= col.min()
-    return CurvePath(kernel.side * 2 ** (n - 1), pos)
+    return _grown_path(p.side * 2 ** (n - 1), pos)

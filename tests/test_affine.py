@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -16,8 +17,9 @@ from hhck.affine import (
     build_curve,
     grow_once,
 )
-from hhck.core import AXIAL_STROKES, CurvePath, DiscontinuousJunction, NotSpaceFilling, \
-    check_budget, format_kernel_text, parse_kernel_text, path_to_strokes, reverse
+from hhck.core import AXIAL_STROKES, STROKE_VECTORS, STROKES, CurvePath, DiscontinuousJunction, \
+    NotSpaceFilling, check_budget, format_kernel_text, parse_kernel_text, path_to_strokes, reverse
+from hhck.tags import MORPHISM_IMAGES, TAG_RULES
 
 from oracles import hilbert_d2xy, is_space_filling_walk
 
@@ -45,6 +47,63 @@ def check_rule_table(rule_sets, kernels):
                 box = img.min(axis=0).tolist(), img.max(axis=0).tolist()
                 assert box == (lo.tolist(), (lo + side - 1).tolist()), \
                     f"variant {rule.nu}: image {i + 1} of {q} escapes traversal quadrant {quad}"
+
+
+def _cell_image(q, side, cell):
+    """One cell's image under [U, t] on cell centers, as check_rule_table holds apply_affine."""
+    center = np.array(q.u) @ (2 * np.array(cell) + 1) + 2 * side * np.array(q.t)
+    return (center - 1) // 2
+
+
+def _grown_corners(rule, side, corners):
+    """Entry and exit of each image of a side-`side` curve running between `corners`."""
+    images = []
+    for q in rule.maps:
+        first, last = corners[::-1] if q.reversed else corners
+        images.append((_cell_image(q, side, first), _cell_image(q, side, last)))
+    return images
+
+
+def _base_corners(base, side):
+    """Entry and exit of a side-`side` base: variant 0 at any order, variant 5 from order 2."""
+    return ((0, 0), (side - 1, 0)) if base == 0 else ((0, side // 2 - 1), (side // 2, 0))
+
+
+def check_tag_table(tag_rules, rule_sets, connectors=tags.CONNECTORS):
+    """Assert that tag_rules is the stroke image of rule_sets, the fact tags.generate trusts.
+
+    Slot i rewrites the base's strokes as map i moves them: each letter
+    goes to its map's U image, or for a reversed map to its -U image with
+    the slot's letter order reversed (the overbar).  Each connector is
+    the step from image i's exit to image i+1's entry.  That step is
+    affine in the base side s, since the base corners are, so two sides
+    decide it for every s; the corners themselves hold by induction
+    from a kernel running from (0, 0) to (side - 1, 0): variant 0 grows
+    from variant 0 into (0, 0) -> (2s - 1, 0), variant 5 into
+    (0, s - 1) -> (s, 0).  Variants 6..11 grow from variant 5 from
+    order 3 on; its sides are even there.
+    """
+    for tag, rule in zip(tag_rules, rule_sets, strict=True):
+        assert (tag.nu, tag.base) == (rule.nu, rule.base), f"variant {rule.nu}: tag rule misplaced"
+        for i, ((op, barred), q) in enumerate(zip(tag.slots, rule.maps)):
+            u = -np.array(q.u) if q.reversed else np.array(q.u)
+            image = dict(zip(STROKES, MORPHISM_IMAGES[op] if op else STROKES))
+            for letter, step in STROKE_VECTORS.items():
+                assert STROKE_VECTORS[image[letter]] == tuple((u @ step).tolist()), \
+                    f"variant {rule.nu}: slot {i + 1} operator {op} moves {letter} off its map"
+            assert barred == q.reversed, \
+                f"variant {rule.nu}: slot {i + 1} overbar {barred}, map reversed {q.reversed}"
+        for side in ((2, 4) if rule.base == 0 else (4, 8)):
+            images = _grown_corners(rule, side, _base_corners(rule.base, side))
+            for i, c in enumerate(connectors):
+                step = tuple((images[i + 1][0] - images[i][1]).tolist())
+                assert step == STROKE_VECTORS[c], \
+                    f"variant {rule.nu}: connector {i + 1} {c}, junction step {step} at side {side}"
+    for nu in (0, 5):
+        for side in (2, 4):
+            images = _grown_corners(rule_sets[nu], side, _base_corners(0, side))
+            grown = (tuple(images[0][0].tolist()), tuple(images[3][1].tolist()))
+            assert grown == _base_corners(nu, 2 * side), f"variant {nu} grows into corners {grown}"
 
 
 class TestRuleSets:
@@ -123,6 +182,28 @@ class TestRuleSets:
     def test_bad_translation_rejected(self):
         with pytest.raises(ValueError):
             AffineMap(U_MATRICES["I"], (3, 3))
+
+
+def _with_slot(nu, slot, value):
+    """TAG_RULES with slot `slot` (1-based) of variant nu replaced."""
+    slots = list(TAG_RULES[nu].slots)
+    slots[slot - 1] = value
+    return TAG_RULES[:nu] + (dataclasses.replace(TAG_RULES[nu], slots=tuple(slots)),) \
+        + TAG_RULES[nu + 1:]
+
+
+class TestTagTable:
+    def test_tag_rules_are_the_stroke_image_of_the_rule_sets(self):
+        check_tag_table(TAG_RULES, RULE_SETS)
+
+    @pytest.mark.parametrize("tag_rules,connectors,message", [
+        (_with_slot(0, 1, ("a", False)), "urd", r"^variant 0: slot 1 operator a moves u off"),
+        (_with_slot(6, 2, ("m", False)), "urd", r"^variant 6: slot 2 overbar False, map reversed"),
+        (TAG_RULES, "uud", r"^variant 0: connector 2 u, junction step \(1, 0\) at side 2"),
+    ], ids=["operator", "overbar", "connector"])
+    def test_corrupted_table_fails_the_check(self, tag_rules, connectors, message):
+        with pytest.raises(AssertionError, match=message):
+            check_tag_table(tag_rules, RULE_SETS, connectors)
 
 
 class TestBuildCurve:

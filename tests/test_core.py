@@ -176,16 +176,34 @@ class TestPathToStrokes:
                 assert s.origin == q.entry
 
 
+def running_sum(strokes, origin):
+    """The walk's cells, one Python-int step at a time."""
+    want = [origin]
+    for letter in strokes:
+        dx, dy = STROKE_VECTORS[letter]
+        want.append((want[-1][0] + dx, want[-1][1] + dy))
+    return want
+
+
 class TestWalk:
     @given(st.text(alphabet=STROKES, max_size=200), st.integers(0, 63), st.integers(0, 63))
     def test_running_sum(self, strokes, x0, y0):
-        want = [(x0, y0)]
-        for letter in strokes:
-            dx, dy = STROKE_VECTORS[letter]
-            want.append((want[-1][0] + dx, want[-1][1] + dy))
         pos = _walk(strokes, (x0, y0))
         assert pos.dtype == np.int32 and pos.flags.c_contiguous
-        assert [tuple(c) for c in pos.tolist()] == want
+        assert [tuple(c) for c in pos.tolist()] == running_sum(strokes, (x0, y0))
+
+    # one direction long past int8 and int16 sums; from (0, 0), "l" goes
+    # negative as the unpinned tag walk does
+    @pytest.mark.parametrize("strokes", ["r" * 70000, "l" * 70000, "a" * 40000],
+                             ids=["r70000", "l70000", "a40000"])
+    @pytest.mark.parametrize("origin", [(70000, 70000), (0, 0)])
+    def test_long_runs_sum_in_int32(self, strokes, origin):
+        pos = _walk(strokes, origin)
+        assert pos.dtype == np.int32
+        assert [tuple(c) for c in pos.tolist()] == running_sum(strokes, origin)
+
+    def test_empty_string_is_the_origin(self):
+        assert _walk("", (3, 5)).tolist() == [[3, 5]]
 
 
 class TestReverse:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -260,6 +261,47 @@ class TestPgmPpm:
         assert triples.count((0, 0, 255)) == int(mask.flags.sum())
 
 
+def full_gray(m: DifferenceMap) -> np.ndarray:
+    """Gray levels of the whole map at once, scaled by the largest quotient."""
+    return _log_gray(m.numerators, m.denominator, math.log1p((m.numerators / m.denominator).max()))
+
+
+class _Sink:
+    """A text handle that keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+class TestPixelBands:
+    # bands of 1, 3 and 5 rows (side 16 leaves a last band of 1 row) and the whole map
+    @pytest.mark.parametrize("band", [1, 3 * 16, 5 * 16, 1 << 16])
+    def test_bands_write_the_same_bytes(self, monkeypatch, mouse, band):
+        monkeypatch.setattr(io, "_PIXEL_BAND", band)
+        for nu in (0, 3, 9):
+            m = difference_map(build_curve(nu, 3, mouse), "neighbors", 3)
+            gray, mask = full_gray(m), barrier_mask(m)
+            assert render(write_diffmap_pgm, m) == brute_pgm(gray), nu
+            assert render(write_barrier_ppm, m, mask) == brute_ppm(gray, mask.flags), nu
+
+    def test_flat_map_is_black(self):
+        m = DifferenceMap(2, np.zeros((2, 2), dtype=np.int64), 8, "divisor8", 0)
+        assert render(write_diffmap_pgm, m) == "P2\n2 2\n255\n0 0\n0 0\n"
+
+    @pytest.mark.parametrize("write", [write_diffmap_pgm, write_barrier_ppm], ids=["pgm", "ppm"])
+    def test_writers_hold_a_band_not_the_map(self, unit, write):
+        # side 1024: one band is 64 rows, a sixteenth of the map
+        m = difference_map(build_curve(0, 10, unit))
+        args = (m,) if write is write_diffmap_pgm else (m, barrier_mask(m))
+        tracemalloc.start()
+        try:
+            write(_Sink(), *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, f"{peak / 2 ** 20:.1f} MiB above the map and mask"
+
+
 def render(write, *args) -> str:
     buf = _io.StringIO()
     write(buf, *args)
@@ -273,7 +315,7 @@ class TestWritersMatchReference:
         kernel = load_bundled(name)
         for nu in (0, 1, 4, 6, 9):
             m = difference_map(build_curve(nu, order, kernel), convention, order)
-            gray = _log_gray(m)
+            gray = full_gray(m)
             mask = barrier_mask(m)
             assert mask.flags.any()
             assert render(write_diffmap_csv, m) == brute_diffmap_csv(m.numerators, m.denominator)

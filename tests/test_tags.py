@@ -1,12 +1,16 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hhck import tags
 from hhck.affine import N_VARIANTS, build_curve
-from hhck.core import STROKES, STROKE_VECTORS, StrokeString, strokes_to_path
+from hhck.core import STROKES, STROKE_VECTORS, BadEntryExit, CurvePath, DiscontinuousJunction, \
+    KernelSpec, StrokeString, reverse, strokes_to_path
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 from hhck.tags import MORPHISM_IMAGES, TAG_RULES, expand, generate
+
+from oracles import is_space_filling_walk
 
 # independent transcription of the letter maps, one pair per line
 HAND_TABLE = {
@@ -126,6 +130,40 @@ class TestCrossEngine:
         s = expand(0, 3, "urd")
         p = strokes_to_path(StrokeString(s, (0, 0)), 8)
         assert p == build_curve(0, 3, unit)
+
+
+class TestTrustedResult:
+    @pytest.mark.parametrize("name", BUILTIN_KERNELS)
+    def test_frozen_int32_space_filling_walks(self, name):
+        # every variant up to 2**12 cells, checked by the independent oracle
+        k = load_bundled(name)
+        for nu in range(N_VARIANTS):
+            n = 1
+            while len(k.path) << 2 * (n - 1) <= 1 << 12:
+                p = generate(nu, n, k)
+                assert p.cells.dtype == np.int32 and p.cells.flags.c_contiguous, (nu, n)
+                assert not p.cells.flags.writeable, (nu, n)
+                assert is_space_filling_walk(p.side, p.cells.tolist()), (nu, n)
+                n += 1
+
+    def test_generated_curves_are_not_revalidated(self, monkeypatch, unit):
+        def refuse(self):
+            raise AssertionError("CurvePath re-validated a generated curve")
+
+        monkeypatch.setattr(CurvePath, "__post_init__", refuse)
+        for nu in range(N_VARIANTS):
+            assert generate(nu, 4, unit).cells.shape == (256, 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kernel_off_its_corners_is_refused_by_both_engines(self, unit, n):
+        # a KernelSpec made directly skips validate_kernel; reversed, the
+        # unit kernel runs from (1, 0) to (0, 0) and the trust premise fails
+        k = KernelSpec("rev", reverse(unit.path))
+        for nu in range(N_VARIANTS):
+            with pytest.raises(BadEntryExit, match=r"from \(0, 0\) to \(1, 0\), got \(1, 0\) to"):
+                generate(nu, n, k)
+            with pytest.raises(DiscontinuousJunction):
+                build_curve(nu, n, k)
 
 
 @given(st.integers(0, 11), st.integers(2, 4))
