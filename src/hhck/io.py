@@ -98,28 +98,46 @@ def read_curve_csv(fh: IO[str]) -> tuple[dict, CurvePath]:
     return head, CurvePath(head["side"], rows[:, 1:])
 
 
-def _write_rows(fh: IO[str], text: np.ndarray, sep: str) -> None:
-    """Write a [x, y] grid of cell strings, top row first, columns left to right."""
-    for row in text.T[::-1].tolist():
-        fh.write(sep.join(row))
-        fh.write("\n")
+# cells rendered and written at a time, in whole rows: a map up to side
+# 256 is one band
+_BAND = 1 << 16
+
+
+def _write_bands(fh: IO[str], m: DifferenceMap, cell_text, sep: str) -> None:
+    """Write one text per cell of the map, top row first, columns left to right.
+
+    Rows go in bands of at most _BAND cells: cell_text(num, band) gives
+    the [x, y] array of strings of the numerators num of the rows in the
+    slice band (rows are y, the map's second axis).
+    """
+    rows = max(1, _BAND // m.side)
+    for hi in range(m.side, 0, -rows):
+        band = slice(max(0, hi - rows), hi)
+        for row in cell_text(m.numerators[:, band], band).T[::-1].tolist():
+            fh.write(sep.join(row))
+            fh.write("\n")
 
 
 def write_diffmap_csv(fh: IO[str], m: DifferenceMap) -> None:
     """Grid of map values, top row first, columns left to right.
 
-    Each distinct value is rendered once through fmt6: as an int when the
-    denominator divides it, else as the true quotient of the two ints,
-    which Python rounds correctly to the float of the exact Fraction.
+    Each distinct value of a band is rendered once through fmt6: as an
+    int when the denominator divides it, else as the true quotient of the
+    two ints, which Python rounds correctly to the float of the exact
+    Fraction.
     """
     den = m.denominator
-    # asking for counts keeps np.unique on its sorting path, which beats
-    # both its hash path and return_inverse here; each cell then finds its
-    # level by binary search
-    values = np.unique(m.numerators, return_counts=True)[0]
-    text = np.array([fmt6(v // den) if v % den == 0 else fmt6(v / den)
-                     for v in values.tolist()], dtype=object)
-    _write_rows(fh, text[np.searchsorted(values, m.numerators)], ",")
+
+    def cell_text(num: np.ndarray, band: slice) -> np.ndarray:
+        # asking for counts keeps np.unique on its sorting path, which beats
+        # both its hash path and return_inverse here; each cell then finds
+        # its level by binary search
+        values = np.unique(num, return_counts=True)[0]
+        text = np.array([fmt6(v // den) if v % den == 0 else fmt6(v / den)
+                         for v in values.tolist()], dtype=object)
+        return text[np.searchsorted(values, num)]
+
+    _write_bands(fh, m, cell_text, ",")
 
 
 def _log_gray(numerators: np.ndarray, den: int, top: float) -> np.ndarray:
@@ -130,43 +148,26 @@ def _log_gray(numerators: np.ndarray, den: int, top: float) -> np.ndarray:
     return np.clip(g, 0, 255)
 
 
-# pixel text by gray level; the PPM's extra last entry is a barrier cell
+# pixel text by gray level; the PPM's extra last entry, 256, is a barrier cell
 _PGM_PIXELS = np.array([str(v) for v in range(256)], dtype=object)
 _PPM_PIXELS = np.array([f"{v} {v} {v}" for v in range(256)] + ["0 0 255"], dtype=object)
-
-# cells of gray levels and pixel text held at a time, in whole rows: a map
-# up to side 256 is one band
-_PIXEL_BAND = 1 << 16
-
-
-def _write_pixels(fh: IO[str], m: DifferenceMap, pixels: np.ndarray,
-                  flags: np.ndarray | None = None) -> None:
-    """Pixel text of the map's gray levels, top row first, in bands of whole rows.
-
-    A flagged cell takes the last pixel.  The scale is global: division
-    is monotone, so log1p(max / den) is the log1p of the largest value.
-    """
-    side, den = m.side, m.denominator
-    top = math.log1p(float(m.numerators.max()) / den)
-    rows = max(1, _PIXEL_BAND // side)
-    for hi in range(side, 0, -rows):
-        band = slice(max(0, hi - rows), hi)  # rows are y, the map's second axis
-        gray = _log_gray(m.numerators[:, band], den, top)
-        if flags is not None:
-            gray = np.where(flags[:, band], len(pixels) - 1, gray)
-        _write_rows(fh, pixels[gray], " ")
 
 
 def write_diffmap_pgm(fh: IO[str], m: DifferenceMap) -> None:
     """Plain PGM (P2), log-scaled gray, top row first."""
     fh.write(f"P2\n{m.side} {m.side}\n255\n")
-    _write_pixels(fh, m, _PGM_PIXELS)
+    # one scale for every band: division is monotone, so the largest
+    # numerator gives the largest value
+    top = math.log1p(float(m.numerators.max()) / m.denominator)
+    _write_bands(fh, m, lambda num, band: _PGM_PIXELS[_log_gray(num, m.denominator, top)], " ")
 
 
 def write_barrier_ppm(fh: IO[str], m: DifferenceMap, mask: BarrierMask) -> None:
     """Plain PPM (P3): the PGM rendering with barrier cells in blue."""
     fh.write(f"P3\n{m.side} {m.side}\n255\n")
-    _write_pixels(fh, m, _PPM_PIXELS, mask.flags)
+    top = math.log1p(float(m.numerators.max()) / m.denominator)
+    _write_bands(fh, m, lambda num, band: _PPM_PIXELS[np.where(
+        mask.flags[:, band], 256, _log_gray(num, m.denominator, top))], " ")
 
 
 STATS_FIELDS = ("mean", "max", "min", "median", "entropy_bits", "pct_below_mean",

@@ -24,9 +24,11 @@ d2 <= b * max(smallest gap, G); it is dropped, as is a pair whose
 largest gap is below G.  Survivors split into their 16 child pairs
 (10 when I = J) down to single cells, where the ratio is exact; on the
 way the first cell of I and the last of J raise b.  Every prune and
-comparison is an integer cross-multiplication in int64, exact because
-core.MAX_CELLS keeps 2*(side-1)^2 * N below 2^49, so floats only
-choose which candidate to try and never decide the result.
+comparison is an integer cross-multiplication.  Cells, boxes and their
+squared distances (below 2^25) are int32; each product of a distance
+and a gap is int64, exact because core.MAX_CELLS keeps 2*(side-1)^2 * N
+below 2^49, so floats only choose which candidate to try and never
+decide the result.
 
 Difference maps.  The difference map assigns to every cell the mean
 absolute label difference with its existing king neighbors.  Border
@@ -126,11 +128,10 @@ def dilation_factor(p: CurvePath) -> Fraction:
     n = len(p)
     if n < 2:
         return Fraction(0)
-    # d2 <= 2*(side-1)^2 and every gap is below n, so each cross product
-    # is below 2*(side-1)^2*n; under core.MAX_CELLS that is d2 < 2^25 times
-    # gap < 2^24, below 2^49, so int64 is exact (the cells are int32)
-    xs = p.cells[:, 0].astype(np.int64)
-    ys = p.cells[:, 1].astype(np.int64)
+    # cells, boxes and d2 <= 2*(side-1)^2 < 2^25 stay int32 under
+    # core.MAX_CELLS; each d2 is widened to int64 before it meets a gap
+    # (below n <= 2^24), so every cross product, below 2^49, is exact
+    xs, ys = p.cells[:, 0], p.cells[:, 1]
 
     # every gap below the seed width, scanned exactly
     seed = min(_SEED_GAPS, n)
@@ -141,7 +142,7 @@ def dilation_factor(p: CurvePath) -> Fraction:
         dy *= dy
         dx += dy
         tops.append(dx.max())
-    best = _raise_best((0, 1), np.array(tops), np.arange(1, seed))
+    best = _raise_best((0, 1), np.array(tops, dtype=np.int64), np.arange(1, seed))
 
     # level L holds the x/y min/max boxes of the n / 4^L blocks of 4^L
     # consecutive cells; n is a power of 4, so the top level is one block
@@ -165,7 +166,7 @@ def dilation_factor(p: CurvePath) -> Fraction:
         # largest squared distance between a cell of block I and one of J
         dx = np.maximum(x1[cj] - x0[ci], x1[ci] - x0[cj])
         dy = np.maximum(y1[cj] - y0[ci], y1[ci] - y0[cj])
-        d2 = dx * dx + dy * dy
+        d2 = (dx * dx + dy * dy).astype(np.int64)
         span = cj - ci
         if level == 0:
             best = _raise_best(best, d2, span)
@@ -178,8 +179,8 @@ def dilation_factor(p: CurvePath) -> Fraction:
         ci, cj, d2, low = ci[keep], cj[keep], d2[keep], low[keep]
         # the first cell of I and the last of J are a realized pair
         first, last = ci * size, (cj + 1) * size - 1
-        best = _raise_best(best, (xs[last] - xs[first]) ** 2 + (ys[last] - ys[first]) ** 2,
-                           last - first)
+        best = _raise_best(best, ((xs[last] - xs[first]) ** 2 + (ys[last] - ys[first]) ** 2)
+                           .astype(np.int64), last - first)
         keep = d2 * best[1] > low * best[0]
         ci, cj = ci[keep], cj[keep]
         for k in range(0, len(ci), _CHUNK_PAIRS):
@@ -301,24 +302,21 @@ def barrier_mask(m: DifferenceMap) -> BarrierMask:
     The threshold involves a square root, so the comparison is done on
     integers: v > mu + s  iff  v > mu and (v - mu)^2 > variance, and
     with v = a/D, mu = A/(D*N) the denominators cancel, leaving
-    a*N - A > isqrt(N * sum(a^2) - A^2).  The left side is an int64
-    array whenever the map's largest magnitude keeps a*N, A and a^2
-    below 2^63; larger maps take python ints.
+    a*N - A > root = isqrt(N * sum(a^2) - A^2), which for an integer a
+    is a > (A + root) // N: the cells meet one python int.  Only a map
+    whose largest magnitude squared passes int64 sums its a^2 in python
+    ints.
     """
     flat = m.numerators.ravel()
     n = len(flat)
     top = max(int(flat.max()), -int(flat.min()))
-    if top * top < _INT64_LIMIT and top * n < _INT64_LIMIT:
-        a_sum = int(flat.sum())
+    a_sum = _exact_sum(flat, top)
+    if top * top < _INT64_LIMIT:
         sq_sum = _exact_sum(flat * flat, top * top)
-        t = flat * n - a_sum
     else:
-        values = flat.tolist()
-        a_sum = sum(values)
-        sq_sum = sum(v * v for v in values)
-        t = flat.astype(object) * n - a_sum
+        sq_sum = sum(v * v for v in flat.tolist())
     root = math.isqrt(n * sq_sum - a_sum * a_sum)
-    return BarrierMask(m.side, (t > root).reshape(m.numerators.shape))
+    return BarrierMask(m.side, m.numerators > (a_sum + root) // n)
 
 
 def boundary_profile(m: DifferenceMap) -> list[Fraction]:

@@ -277,10 +277,11 @@ class TestPixelBands:
     # bands of 1, 3 and 5 rows (side 16 leaves a last band of 1 row) and the whole map
     @pytest.mark.parametrize("band", [1, 3 * 16, 5 * 16, 1 << 16])
     def test_bands_write_the_same_bytes(self, monkeypatch, mouse, band):
-        monkeypatch.setattr(io, "_PIXEL_BAND", band)
+        monkeypatch.setattr(io, "_BAND", band)
         for nu in (0, 3, 9):
             m = difference_map(build_curve(nu, 3, mouse), "neighbors", 3)
             gray, mask = full_gray(m), barrier_mask(m)
+            assert render(write_diffmap_csv, m) == brute_diffmap_csv(m.numerators, 120), nu
             assert render(write_diffmap_pgm, m) == brute_pgm(gray), nu
             assert render(write_barrier_ppm, m, mask) == brute_ppm(gray, mask.flags), nu
 
@@ -288,11 +289,12 @@ class TestPixelBands:
         m = DifferenceMap(2, np.zeros((2, 2), dtype=np.int64), 8, "divisor8", 0)
         assert render(write_diffmap_pgm, m) == "P2\n2 2\n255\n0 0\n0 0\n"
 
-    @pytest.mark.parametrize("write", [write_diffmap_pgm, write_barrier_ppm], ids=["pgm", "ppm"])
+    @pytest.mark.parametrize("write", [write_diffmap_csv, write_diffmap_pgm, write_barrier_ppm],
+                             ids=["csv", "pgm", "ppm"])
     def test_writers_hold_a_band_not_the_map(self, unit, write):
         # side 1024: one band is 64 rows, a sixteenth of the map
         m = difference_map(build_curve(0, 10, unit))
-        args = (m,) if write is write_diffmap_pgm else (m, barrier_mask(m))
+        args = (m, barrier_mask(m)) if write is write_barrier_ppm else (m,)
         tracemalloc.start()
         try:
             write(_Sink(), *args)
@@ -776,3 +778,16 @@ def test_nu_all_keeps_no_finished_curve(tmp_path):
     one = peak_rss_mib(tmp_path, "dilation", "--nu", "0", "--order", "10", "-o", "one.json")
     every = peak_rss_mib(tmp_path, "dilation", "--nu", "all", "--order", "10", "-o", "all")
     assert every <= one + 32, (one, every)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_order_eleven_map_and_dilation_hold_no_second_copy(tmp_path):
+    # order 11 (side 2048): the CSV writer holds a band, as the PGM and
+    # PPM writers do, and dilation_factor's pyramid and seed scan are
+    # int32 beside the 32 MiB of int32 cells
+    pgm = peak_rss_mib(tmp_path, "diffmap", "--order", "11", "--format", "pgm", "-o", "map.pgm")
+    csv = peak_rss_mib(tmp_path, "diffmap", "--order", "11", "-o", "map.csv")
+    assert csv <= pgm + 8, (pgm, csv)
+    curve = peak_rss_mib(tmp_path, "generate", "--order", "11", "-o", "curve.csv")
+    sigma = peak_rss_mib(tmp_path, "dilation", "--order", "11")
+    assert sigma <= curve + 64, (curve, sigma)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhck.affine import build_curve
@@ -94,6 +95,18 @@ class TestDilation:
     @pytest.mark.parametrize("nu", range(12))
     def test_unit_order_eight(self, nu, unit):
         assert dilation_factor(build_curve(nu, 8, unit)) == ORDER8_UNIT_SIGMA[nu]
+
+    def test_holds_no_wide_copy_of_the_curve(self, unit):
+        # order 10: 8 MiB of int32 cells; the seed scan and the box
+        # pyramid are int32, and only chunk-sized arrays are int64
+        p = build_curve(0, 10, unit)
+        tracemalloc.start()
+        try:
+            dilation_factor(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * p.cells.nbytes, f"{peak / 2 ** 20:.1f} MiB above the curve"
 
 
 # every bundled kernel at each order of at most 1,024 cells
@@ -277,7 +290,11 @@ class TestBarrier:
         assert (2, 5) in flagged
         assert flagged == brute_barrier(num)
 
-    @given(st.lists(st.integers(0, (1 << 63) - 1), min_size=16, max_size=16))
+    # the full signed range: A + root may be negative, and the threshold
+    # (A + root) // N may pass int64, as in the two examples
+    @given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=16, max_size=16))
+    @example([(1 << 63) - 1] * 15 + [0])
+    @example([-(1 << 63)] * 15 + [0])
     @settings(max_examples=40)
     def test_any_int64_map_matches_reference(self, values):
         num = np.array(values, dtype=np.int64).reshape(4, 4)
