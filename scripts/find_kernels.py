@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from hhck.affine import build_curve
-from hhck.core import CurvePath, CurveError, format_kernel_text, validate_kernel
+from hhck.core import KernelSpec, format_kernel_text
 from hhck.kernels import kernel_checksum
 from hhck.locality import diff_stats, difference_map, reference_order
 
@@ -164,13 +164,8 @@ def main():
     seeds = enumerate_seed_paths()
     print(f"{len(seeds)} Hamiltonian king paths (0,0)->(3,0)  [{time.time()-t0:.1f}s]")
 
-    kernels = []
-    for cells in seeds:
-        try:
-            kernels.append(validate_kernel(CurvePath(SIDE, np.array(cells, dtype=np.int64))))
-        except CurveError:
-            continue
-    print(f"{len(kernels)} pass kernel validation  [{time.time()-t0:.1f}s]")
+    # every seed is a Hamiltonian king path from START to END, so a kernel
+    kernels = [KernelSpec("kernel", np.array(cells)) for cells in seeds]
 
     stage = {"mouse": [], "frog": []}
     for i, k in enumerate(kernels):

@@ -29,7 +29,6 @@ from .core import (
     path_to_strokes,
     reverse,
     strokes_to_path,
-    validate_kernel,
 )
 from .affine import (
     AffineMap,

@@ -51,6 +51,10 @@ U_MATRICES: dict[str, Mat2] = {
 
 T_VECTORS: tuple[GridPoint, ...] = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (1, 2))
 
+# the eight signed permutation matrices, sign * U by (sign, letter)
+_SIGNED_U = {(sign, letter): tuple(tuple(sign * e for e in row) for row in u)
+             for letter, u in U_MATRICES.items() for sign in (1, -1)}
+
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -61,15 +65,14 @@ class AffineMap:
     reversed: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.u) != 2 or any(sorted(map(abs, row)) != [0, 1] for row in self.u):
-            raise ValueError(f"u rows must each have one entry of +-1, got {self.u}")
+        if self.u not in _SIGNED_U.values():
+            raise ValueError(f"u must be a signed permutation matrix, got {self.u}")
         if self.t not in T_VECTORS:
             raise ValueError(f"t must be one of {T_VECTORS}, got {self.t}")
 
 
 def _mk(sign: int, letter: str, t_index: int, rev: bool = False) -> AffineMap:
-    u = tuple(tuple(sign * e for e in row) for row in U_MATRICES[letter])
-    return AffineMap(u, T_VECTORS[t_index], rev)
+    return AffineMap(_SIGNED_U[sign, letter], T_VECTORS[t_index], rev)
 
 
 @dataclass(frozen=True)

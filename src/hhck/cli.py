@@ -92,14 +92,17 @@ def _emit(args: argparse.Namespace, nu: int, kernel: KernelSpec, out_path: Path 
             with open(target, "w", encoding="ascii", newline="\n") as fh:
                 write(fh)
 
+    def stats(p: CurvePath, k: int, order: int) -> str:
+        m = difference_map(p, convention=args.convention, order=order)
+        return stats_record(diff_stats(m), args.convention, order,
+                            extra={"nu": k, "kernel": kernel.name})
+
     if args.builds:
         p = _build_path(args, nu, kernel)
     if args.command == "generate":
         deliver(lambda fh: write_curve_csv(fh, p, nu, args.order, kernel.name))
     elif args.command == "analyze":
-        m = difference_map(p, convention=args.convention, order=args.order)
-        rec = stats_record(diff_stats(m), args.convention, args.order,
-                           extra={"nu": nu, "kernel": kernel.name})
+        rec = stats(p, nu, args.order)
         deliver(lambda fh: fh.write(rec + "\n"))
     elif args.command == "dilation":
         rec = json_record({"nu": nu, "order": args.order, "kernel": kernel.name,
@@ -119,12 +122,7 @@ def _emit(args: argparse.Namespace, nu: int, kernel: KernelSpec, out_path: Path 
         deliver(lambda fh: fh.write(rec + "\n"))
     elif args.command == "reproduce-tables":
         order = reference_order(kernel)
-        recs = []
-        for k in range(N_VARIANTS):
-            p = BACKENDS["affine"](k, order, kernel)
-            m = difference_map(p, convention=args.convention, order=order)
-            recs.append(stats_record(diff_stats(m), args.convention, order,
-                                     extra={"nu": k, "kernel": kernel.name}))
+        recs = [stats(BACKENDS["affine"](k, order, kernel), k, order) for k in range(N_VARIANTS)]
         deliver(lambda fh: fh.write("\n".join(recs) + "\n"))
 
 

@@ -14,7 +14,8 @@ left.  Coordinates are mathematical: x grows to the right, y grows
 upward, and cell (0, 0) is the lower-left corner of the grid.
 
 A kernel is a seed curve that enters the grid at the lower-left corner
-cell and exits at the lower-right corner cell.  Higher-order curves are
+cell and exits at the lower-right corner cell, which ``KernelSpec``
+checks once, when a kernel is made.  Higher-order curves are
 grown from a kernel by the generators in ``hhck.affine`` and
 ``hhck.tags``; corner entry and exit is what guarantees that the four
 quadrant copies of a grown curve meet each other.  For a side-s curve
@@ -344,10 +345,29 @@ def reverse(p: CurvePath) -> CurvePath:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A validated seed curve."""
+    """A seed curve, checked once here and trusted by both engines.
+
+    The path fills a power-of-two grid of side >= 2 with king moves
+    (cells that are not a CurvePath are made one), enters at (0, 0) and
+    exits at (side - 1, 0), else BadEntryExit.  No growth round is tried:
+    corner entry and exit alone make the quadrant copies meet (see the
+    module docstring).
+    """
 
     name: str
     path: CurvePath
+
+    def __post_init__(self) -> None:
+        p = self.path
+        if not isinstance(p, CurvePath):
+            p = CurvePath(math.isqrt(len(p)), p)
+            object.__setattr__(self, "path", p)
+        if p.side < 2:
+            raise BadEntryExit("side-1 kernel rejected: entry and exit would coincide")
+        if p.entry != (0, 0):
+            raise BadEntryExit(f"kernel must enter at (0, 0), got {p.entry}")
+        if p.exit != (p.side - 1, 0):
+            raise BadEntryExit(f"kernel must exit at ({p.side - 1}, 0), got {p.exit}")
 
     @property
     def side(self) -> int:
@@ -356,25 +376,6 @@ class KernelSpec:
     @cached_property
     def strokes(self) -> StrokeString:
         return path_to_strokes(self.path)
-
-
-def validate_kernel(p: CurvePath | "np.ndarray | list", name: str = "kernel") -> KernelSpec:
-    """Check every kernel requirement and return the kernel on success.
-
-    Requirements: the path fills a power-of-two grid of side >= 2 with
-    king moves, enters at (0, 0) and exits at (side - 1, 0).  No growth
-    round is tried: corner entry and exit alone make the quadrant
-    copies meet (see the module docstring).
-    """
-    if not isinstance(p, CurvePath):
-        p = CurvePath(math.isqrt(len(p)), p)
-    if p.side < 2:
-        raise BadEntryExit("side-1 kernel rejected: entry and exit would coincide")
-    if p.entry != (0, 0):
-        raise BadEntryExit(f"kernel must enter at (0, 0), got {p.entry}")
-    if p.exit != (p.side - 1, 0):
-        raise BadEntryExit(f"kernel must exit at ({p.side - 1}, 0), got {p.exit}")
-    return KernelSpec(name, p)
 
 
 def _ascii_int(token: str, what: str) -> int:
@@ -422,7 +423,7 @@ def parse_kernel_text(text: str, name: str = "kernel") -> KernelSpec:
         strokes = StrokeString(fields["strokes"][0], origin)
     except CurveError as exc:
         raise KernelFormatError(str(exc)) from exc
-    return validate_kernel(strokes_to_path(strokes, side), name)
+    return KernelSpec(name, strokes_to_path(strokes, side))
 
 
 def format_kernel_text(spec: KernelSpec) -> str:

@@ -83,7 +83,7 @@ _INT64_LIMIT = 2 ** 63
 
 # dilation_factor scans every index gap below this exactly
 _SEED_GAPS = 16
-# block pairs expanded at once; each has at most 16 children
+# block pairs expanded at once (each has at most 16 children); cells squared at once
 _CHUNK_PAIRS = 1 << 14
 # child offsets (a, b) of a block pair: block 4I+a against block 4J+b
 _CHILD_I = np.repeat(np.arange(4), 4)
@@ -303,16 +303,17 @@ def barrier_mask(m: DifferenceMap) -> BarrierMask:
     integers: v > mu + s  iff  v > mu and (v - mu)^2 > variance, and
     with v = a/D, mu = A/(D*N) the denominators cancel, leaving
     a*N - A > root = isqrt(N * sum(a^2) - A^2), which for an integer a
-    is a > (A + root) // N: the cells meet one python int.  Only a map
-    whose largest magnitude squared passes int64 sums its a^2 in python
-    ints.
+    is a > (A + root) // N: the cells meet one python int.  The a^2 are
+    summed one chunk of cells at a time, or in python ints when top^2
+    passes int64.
     """
     flat = m.numerators.ravel()
     n = len(flat)
     top = max(int(flat.max()), -int(flat.min()))
     a_sum = _exact_sum(flat, top)
     if top * top < _INT64_LIMIT:
-        sq_sum = _exact_sum(flat * flat, top * top)
+        chunks = (flat[k:k + _CHUNK_PAIRS] for k in range(0, n, _CHUNK_PAIRS))
+        sq_sum = sum(_exact_sum(c * c, top * top) for c in chunks)
     else:
         sq_sum = sum(v * v for v in flat.tolist())
     root = math.isqrt(n * sq_sum - a_sum * a_sum)

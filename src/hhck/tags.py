@@ -27,10 +27,10 @@ that ``TAG_RULES`` is the stroke image of ``affine.RULE_SETS``: each
 slot's operator is its map's U, or -U with the overbar exactly when the
 map is reversed, and each connector is the junction step that the base
 curves' corners fix.  Those corners follow from a kernel that runs from
-(0, 0) to (side - 1, 0), which ``generate`` checks in O(1).  So the
-expanded string is the stroke string of ``affine.build_curve``'s valid
-curve, and walking it and shifting the walk so its bounding box starts
-at (0, 0) gives that curve.
+(0, 0) to (side - 1, 0), the premise that ``core.KernelSpec`` checks
+when it is made.  So the expanded string is the stroke string of
+``affine.build_curve``'s valid curve, and walking it and shifting the
+walk so its bounding box starts at (0, 0) gives that curve.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BadEntryExit, CurvePath, KernelSpec, STROKES, _grown_path, _walk, check_budget
+from .core import CurvePath, KernelSpec, STROKES, _grown_path, _walk, check_budget
 
 MORPHISM_IMAGES: dict[str, str] = {
     # image of "urdlabgt" under each operator
@@ -129,16 +129,9 @@ def expand(nu: int, n: int, kernel_strokes: str) -> str:
 def generate(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
     """The order-n curve of variant nu, built by string rewriting alone.
 
-    Trusted without a cell check (see the module docstring).  A kernel
-    that does not run from (0, 0) to (side - 1, 0), which KernelSpec
-    does not enforce, is refused with BadEntryExit before any round.
+    Trusted without a cell check (see the module docstring).
     """
-    p = kernel.path
-    if p.entry != (0, 0) or p.exit != (p.side - 1, 0):
-        raise BadEntryExit(
-            f"kernel must run from (0, 0) to ({p.side - 1}, 0), got {p.entry} to {p.exit}"
-        )
     pos = _walk(expand(nu, n, kernel.strokes.strokes), (0, 0))
     for col in pos.T:  # 1-D mins; pos.min(axis=0) reduces along the short axis
         col -= col.min()
-    return _grown_path(p.side * 2 ** (n - 1), pos)
+    return _grown_path(kernel.side * 2 ** (n - 1), pos)

@@ -176,8 +176,12 @@ class TestRuleSets:
                 grow_once(nu, p)
 
     def test_bad_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            AffineMap(((1, 1), (0, 1)), T_VECTORS[0])
+        for u in [((1, 1), (0, 1)),
+                  ((1, 0), (1, 0)),     # singular: each row has one +-1, both read x
+                  ((0, -1), (0, 1)),    # singular: both rows read y
+                  ((1, 0), (0, 1), (0, 1))]:
+            with pytest.raises(ValueError, match="^u must be a signed permutation matrix"):
+                AffineMap(u, T_VECTORS[0])
 
     def test_bad_translation_rejected(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from hhck.core import (
     path_to_strokes,
     reverse,
     strokes_to_path,
-    validate_kernel,
 )
 from hhck.io import read_curve_csv, write_curve_csv
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
@@ -393,8 +392,10 @@ def test_every_producer_returns_frozen_contiguous_int32_cells(make):
     assert q.label_grid().dtype == np.int32
 
 
-# both entry points of the one cell check; validate_kernel sizes the grid itself
-CELL_CHECKS = {"CurvePath": lambda cells: CurvePath(2, cells), "validate_kernel": validate_kernel}
+# both entry points of the one cell check; KernelSpec (the validate-kernel
+# command's check) sizes the grid itself
+CELL_CHECKS = {"CurvePath": lambda cells: CurvePath(2, cells),
+               "validate_kernel": lambda cells: KernelSpec("kernel", cells)}
 
 
 @pytest.mark.parametrize("check", CELL_CHECKS.values(), ids=CELL_CHECKS.keys())
@@ -436,29 +437,30 @@ class TestCellTypes:
         assert p == make_path(UNIT_CELLS)
 
 
+# the kernel premise, checked once when a KernelSpec is made
 class TestValidateKernel:
     def test_unit_ok(self):
-        spec = validate_kernel(UNIT_CELLS, name="unit")
+        spec = KernelSpec("unit", UNIT_CELLS)
         assert spec.side == 2
         assert spec.path.entry == (0, 0)
         assert spec.path.exit == (1, 0)
 
     def test_exit_top_left(self):
-        with pytest.raises(BadEntryExit):
-            validate_kernel([(0, 0), (1, 0), (1, 1), (0, 1)])
+        with pytest.raises(BadEntryExit, match=r"^kernel must exit at \(1, 0\), got \(0, 1\)$"):
+            KernelSpec("kernel", [(0, 0), (1, 0), (1, 1), (0, 1)])
 
     def test_wrong_entry(self):
-        with pytest.raises(BadEntryExit):
-            validate_kernel([(1, 0), (1, 1), (0, 1), (0, 0)])
+        with pytest.raises(BadEntryExit, match=r"^kernel must enter at \(0, 0\), got \(1, 0\)$"):
+            KernelSpec("kernel", [(1, 0), (1, 1), (0, 1), (0, 0)])
 
     def test_side_one_rejected(self):
-        with pytest.raises(BadEntryExit):
-            validate_kernel(CurvePath(1, np.array([[0, 0]])))
+        with pytest.raises(BadEntryExit, match="^side-1 kernel rejected: entry and exit would coincide$"):
+            KernelSpec("kernel", CurvePath(1, np.array([[0, 0]])))
 
     def test_bundled_kernels_valid(self):
         for name in BUILTIN_KERNELS:
             spec = load_bundled(name)
-            again = validate_kernel(spec.path, name=name)
+            again = KernelSpec(name, spec.path)
             assert again == spec
 
     def test_unit_kernel_axial_only(self):
@@ -507,7 +509,7 @@ class TestKernelText:
 
     def test_strokes_are_read_once(self):
         for name in BUILTIN_KERNELS:
-            spec, fresh = load_bundled(name), validate_kernel(load_bundled(name).path, name)
+            spec, fresh = load_bundled(name), KernelSpec(name, load_bundled(name).path)
             text = format_kernel_text(spec)
             assert spec.strokes is spec.strokes
             # reading the strokes changes neither equality, hash nor text

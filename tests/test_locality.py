@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hhck import locality
 from hhck.affine import build_curve
 from hhck.core import MAX_CELLS, CurvePath, reverse
 from hhck.io import stats_record
@@ -301,6 +302,26 @@ class TestBarrier:
         m = DifferenceMap(4, num, 120, "neighbors", 0)
         flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
         assert flagged == brute_barrier(num)
+
+    def test_chunked_squares_match_reference(self, unit, monkeypatch):
+        # chunks of 7 cells, the last one ragged, over 64-cell maps
+        monkeypatch.setattr(locality, "_CHUNK_PAIRS", 7)
+        for nu in (0, 1, 6, 9):
+            m = difference_map(build_curve(nu, 3, unit))
+            flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
+            assert flagged == brute_barrier(m.numerators), nu
+
+    def test_holds_a_chunk_not_the_squared_map(self, unit):
+        # side 1024: the int64 map is 8 MiB and the returned mask 1 MiB;
+        # the squares are made one chunk at a time
+        m = difference_map(build_curve(0, 10, unit))
+        tracemalloc.start()
+        try:
+            barrier_mask(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, f"{peak / 2 ** 20:.1f} MiB above the map"
 
     def test_flagged_fraction_small(self, unit):
         p = build_curve(0, 5, unit)

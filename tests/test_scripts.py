@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from hhck import cli
-from hhck.core import CurvePath, StrokeString, strokes_to_path, validate_kernel
+from hhck.core import CurvePath, KernelSpec, StrokeString, strokes_to_path
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,7 +112,7 @@ def test_find_kernels_recovers_bundled_kernel(find_kernels, name):
     assert len(maxima) == 12
     assert all(abs(m - t) <= 1 for m, t in zip(maxima, published))
     # ranked from the printed order reversed, so the sort has work to do
-    finalists = [validate_kernel(strokes_to_path(StrokeString(s, (0, 0)), 4))
+    finalists = [KernelSpec("kernel", strokes_to_path(StrokeString(s, (0, 0)), 4))
                  for s in reversed(FINALISTS[name])]
     ranked = sorted(finalists, key=lambda k: find_kernels.rank_key(k, published))
     assert [k.strokes.strokes for k in ranked] == FINALISTS[name]

@@ -1,15 +1,20 @@
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hhck import tags
+from hhck import affine, tags
 from hhck.affine import N_VARIANTS, build_curve
-from hhck.core import STROKES, STROKE_VECTORS, BadEntryExit, CurvePath, DiscontinuousJunction, \
-    KernelSpec, StrokeString, reverse, strokes_to_path
+from hhck.core import STROKES, STROKE_VECTORS, BadEntryExit, CurvePath, KernelSpec, \
+    StrokeString, parse_kernel_text, reverse, strokes_to_path
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 from hhck.tags import MORPHISM_IMAGES, TAG_RULES, expand, generate
 
+import oracles
 from oracles import is_space_filling_walk
 
 # independent transcription of the letter maps, one pair per line
@@ -119,6 +124,23 @@ class TestCrossEngine:
             for n in range(1, 5):
                 assert generate(nu, n, k) == build_curve(nu, n, k), (nu, name, n)
 
+    def test_side_two_kernels_are_urd_and_alb_and_agree(self):
+        # all 24 orderings of the 2x2 cells are king walks; only the two
+        # from (0, 0) to (1, 0) are kernels
+        accepted, refused = [], 0
+        for cells in itertools.permutations([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            p = CurvePath(2, list(cells))
+            try:
+                accepted.append(KernelSpec("kernel", p))
+            except BadEntryExit:
+                refused += 1
+        assert sorted(k.strokes.strokes for k in accepted) == ["alb", "urd"]
+        assert refused == 22
+        for k in accepted:
+            for nu in range(N_VARIANTS):
+                for n in range(1, 5):
+                    assert generate(nu, n, k) == build_curve(nu, n, k), (k.strokes.strokes, nu, n)
+
     def test_string_cache_holds_bases_only(self, unit):
         tags._base_str.cache_clear()
         for nu in range(N_VARIANTS):
@@ -156,16 +178,44 @@ class TestTrustedResult:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_kernel_off_its_corners_is_refused_by_both_engines(self, unit, n):
-        # a KernelSpec made directly skips validate_kernel; reversed, the
-        # unit kernel runs from (1, 0) to (0, 0) and the trust premise fails
-        k = KernelSpec("rev", reverse(unit.path))
-        for nu in range(N_VARIANTS):
-            with pytest.raises(BadEntryExit, match=r"from \(0, 0\) to \(1, 0\), got \(1, 0\) to"):
-                generate(nu, n, k)
-            with pytest.raises(DiscontinuousJunction):
-                build_curve(nu, n, k)
+        # reversed, the unit kernel runs from (1, 0) to (0, 0) and the trust
+        # premise fails.  Both engines take only a KernelSpec, and none,
+        # made directly or parsed from kernel text, holds it
+        entry = r"^kernel must enter at \(0, 0\), got \(1, 0\)$"
+        made = (lambda: KernelSpec("rev", reverse(unit.path)),
+                lambda: parse_kernel_text("side 2\norigin 1 0\nstrokes uld\n", "rev"))
+        for engine in (generate, build_curve):
+            for nu in range(N_VARIANTS):
+                for make in made:
+                    with pytest.raises(BadEntryExit, match=entry):
+                        engine(nu, n, make())
 
 
 @given(st.integers(0, 11), st.integers(2, 4))
 def test_expansion_is_deterministic(nu, n):
     assert expand(nu, n, "urd") == expand(nu, n, "urd")
+
+
+def imported_modules(module) -> set[str]:
+    """Absolute names of the modules a module's source imports from."""
+    package = module.__name__.split(".")[:-1]
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text("utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package[:len(package) + 1 - node.level] if node.level else []
+            base = ".".join(parts + [node.module] if node.module else parts)
+            # "from . import affine" imports the module base.affine
+            names.update([base], (f"{base}.{a.name}" for a in node.names))
+    return names
+
+
+@pytest.mark.parametrize("module,foreign", [(tags, "hhck.affine"), (affine, "hhck.tags"),
+                                            (oracles, "hhck")],
+                         ids=["tags-not-affine", "affine-not-tags", "oracles-not-hhck"])
+def test_engines_and_oracles_stay_independent(module, foreign):
+    # the engines' agreement and the oracles' checks are evidence only
+    # while neither side reads the other's code
+    shared = {m for m in imported_modules(module) if m == foreign or m.startswith(foreign + ".")}
+    assert not shared, f"{module.__name__} imports {sorted(shared)}"
