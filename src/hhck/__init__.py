@@ -5,7 +5,23 @@ reversal-based ones) are generated by two independent engines, an
 affine recursion and a stroke-rewriting tag system, and analyzed for
 locality: dilation factor, neighbor difference maps and their
 statistics, locality barriers and quadrant boundary profiles.
+
+hhck runs on one thread and calls no BLAS routine, so it loads numpy
+with a one-thread OpenBLAS pool unless the caller set a thread count or
+imported numpy first, and leaves ``os.environ`` as it found it.
 """
+
+import os as _os
+
+# OpenBLAS reads its thread count once, when numpy loads it, and every
+# extra pool worker busy-waits about 0.1 s of CPU before it sleeps.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(v in _os.environ for v in _THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .core import (
     AXIAL_STROKES,

@@ -17,7 +17,6 @@ suite.
 
 from __future__ import annotations
 
-import hashlib
 from importlib import resources
 from pathlib import Path
 
@@ -38,6 +37,9 @@ KERNEL_SHA256 = {
 
 def kernel_checksum(spec: KernelSpec) -> str:
     """sha256 of the canonical kernel text; pins a transcription."""
+    # imported here: hashlib loads OpenSSL, which only checksums need
+    import hashlib
+
     return hashlib.sha256(format_kernel_text(spec).encode("ascii")).hexdigest()
 
 

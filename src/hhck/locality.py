@@ -272,7 +272,7 @@ def diff_stats(m: DifferenceMap) -> DiffStats:
     # an integer is below the mean total/n iff it is below its ceiling,
     # which an int64 holds, as the mean of int64s lies in their range
     below = int(counts[values < -(-total // n)].sum())
-    inner = m.numerators[1:-1, 1:-1]
+    interior = m.numerators[1:-1, 1:-1]
     return DiffStats(
         mean=Fraction(total, den * n),
         max=Fraction(int(values[-1]), den),
@@ -280,7 +280,7 @@ def diff_stats(m: DifferenceMap) -> DiffStats:
         median=Fraction(int(lo) + int(hi), 2 * den),
         entropy_bits=entropy,
         pct_below_mean=Fraction(100 * below, n),
-        interior_min=Fraction(int(inner.min()), den) if inner.size else None,
+        interior_min=Fraction(int(interior.min()), den) if interior.size else None,
     )
 
 

@@ -791,3 +791,35 @@ def test_order_eleven_map_and_dilation_hold_no_second_copy(tmp_path):
     curve = peak_rss_mib(tmp_path, "generate", "--order", "11", "-o", "curve.csv")
     sigma = peak_rss_mib(tmp_path, "dilation", "--order", "11")
     assert sigma <= curve + 64, (curve, sigma)
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_child(imports, **env) -> list:
+    """Task count, unchanged environment and OPENBLAS_NUM_THREADS of a child that runs imports."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import json, os; before = dict(os.environ); {imports}; "
+            "print(json.dumps([len(os.listdir('/proc/self/task')), dict(os.environ) == before,"
+            " os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    clean = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    out = subprocess.run([sys.executable, "-c", code], env=dict(clean, PYTHONPATH=str(src), **env),
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/task")
+def test_hhck_loads_numpy_with_one_blas_thread():
+    # no OpenBLAS worker spins beside the main thread, and the pin is undone
+    assert blas_child("import hhck") == [1, True, None]
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="reads /proc/self/task; OpenBLAS starts at most one thread per CPU")
+def test_callers_blas_thread_count_is_kept():
+    assert blas_child("import hhck", OPENBLAS_NUM_THREADS="2") == [2, True, "2"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/task")
+def test_numpy_imported_first_keeps_its_pool():
+    assert blas_child("import numpy; import hhck") == blas_child("import numpy")

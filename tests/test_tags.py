@@ -219,3 +219,29 @@ def test_engines_and_oracles_stay_independent(module, foreign):
     # while neither side reads the other's code
     shared = {m for m in imported_modules(module) if m == foreign or m.startswith(foreign + ".")}
     assert not shared, f"{module.__name__} imports {sorted(shared)}"
+
+
+BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum", "linalg"}
+
+
+def blas_uses(tree) -> list[int]:
+    """Lines of a module that use ``@`` or name a numpy BLAS routine."""
+    lines = []
+    for node in ast.walk(tree):
+        match node:
+            case ast.BinOp(op=ast.MatMult()) | ast.AugAssign(op=ast.MatMult()):
+                lines.append(node.lineno)
+            case ast.Name(id=name) | ast.Attribute(attr=name) | ast.alias(name=name) \
+                    | ast.ImportFrom(module=str(name)):
+                if BLAS_NAMES.intersection(name.split(".")):
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_hhck_calls_no_blas_routine():
+    # hhck loads numpy with a one-thread OpenBLAS pool, which costs
+    # nothing only while no line of the package reaches BLAS
+    package = Path(affine.__file__).parent
+    found = {p.relative_to(package).as_posix(): blas_uses(ast.parse(p.read_text("utf-8")))
+             for p in sorted(package.rglob("*.py"))}
+    assert len(found) > 5 and not any(found.values()), found
