@@ -379,7 +379,7 @@ class KernelSpec:
 
 
 def _ascii_int(token: str, what: str) -> int:
-    """A kernel/CSV number: int() also takes '²', '١', signs and '_', and fails past 4300 digits."""
+    """A kernel-file number: int() also takes '²', '١', signs and '_', and fails past 4300 digits."""
     digits = token.lstrip("0") or "0"
     if not (token.isascii() and token.isdigit()) or len(digits) > 8:  # 10**8 > any in-budget value
         raise KernelFormatError(f"{what} must be ASCII digits below 10**8, got {token[:12]!r}")

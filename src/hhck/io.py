@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from fractions import Fraction
 from typing import IO
 
 import numpy as np
 
-from .affine import N_VARIANTS
-from .core import CurvePath, _ascii_int, _is_power_of_two, check_budget
+from .core import CurvePath
 from .locality import BarrierMask, DifferenceMap, DiffStats
 
 
@@ -44,10 +42,6 @@ def _escape_name(name: str) -> str:
     return name.encode("unicode_escape").decode("ascii").replace(",", r"\x2c")
 
 
-def _unescape_name(text: str) -> str:
-    return text.encode("ascii").decode("unicode_escape")
-
-
 # rows of the curve CSV rendered and written at a time
 _CURVE_CSV_CHUNK = 1 << 14
 
@@ -61,41 +55,6 @@ def write_curve_csv(fh: IO[str], p: CurvePath, nu: int, order: int, kernel_name:
         rows[:, 0] = np.arange(start, start + len(block))
         rows[:, 1:] = block
         fh.write(("%d,%d,%d\n" * len(block)) % tuple(rows.ravel().tolist()))
-
-
-def read_curve_csv(fh: IO[str]) -> tuple[dict, CurvePath]:
-    """Inverse of write_curve_csv. Returns (header fields, path).
-
-    Empty lines are skipped.  A malformed file raises ValueError: header
-    numbers that are not ASCII digits, a side that is not a power of two
-    within core.MAX_CELLS, a nu outside 0..N_VARIANTS-1, or an order n
-    below 1 or with 2**n past the side (a kernel's side is at least 2),
-    all refused before the body is read; a row that is not three int64
-    fields, a gap in the index, or a CurveError.
-    """
-    first = fh.readline().strip().split(",")
-    if len(first) != 4:
-        raise ValueError("curve CSV: bad header")
-    nu, n, name, side = first
-    head = {"nu": _ascii_int(nu, "curve CSV: nu"), "n": _ascii_int(n, "curve CSV: n"),
-            "kernel": _unescape_name(name), "side": _ascii_int(side, "curve CSV: side")}
-    if not _is_power_of_two(head["side"]):
-        raise ValueError(f"curve CSV: side must be a power of two, got {head['side']}")
-    check_budget(head["side"] ** 2)
-    if head["nu"] >= N_VARIANTS:
-        raise ValueError(f"curve CSV: nu must be 0..{N_VARIANTS - 1}, got {head['nu']}")
-    top = head["side"].bit_length() - 1
-    if not 1 <= head["n"] <= top:
-        raise ValueError(f"curve CSV: n must be 1..{top} for side {head['side']}, got {head['n']}")
-    with warnings.catch_warnings():  # an empty body warns, then fails the shape check
-        warnings.simplefilter("ignore", UserWarning)
-        rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    if rows.shape[1] != 3:
-        raise ValueError("curve CSV: expected rows i,x,y")
-    gaps = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
-    if len(gaps):
-        raise ValueError(f"curve CSV: step {int(rows[gaps[0], 0])} out of order")
-    return head, CurvePath(head["side"], rows[:, 1:])
 
 
 # cells rendered and written at a time, in whole rows: a map up to side

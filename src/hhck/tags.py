@@ -38,8 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .core import CurvePath, KernelSpec, STROKES, _grown_path, _walk, check_budget
 
 MORPHISM_IMAGES: dict[str, str] = {

@@ -98,6 +98,18 @@ def brute_curve_csv(nu: int, order: int, name_field: str, side: int, cells) -> s
     return text
 
 
+def parse_curve_csv(text: str):
+    """(header fields, [x, y] cells) of curve-CSV text; the index column must count 0, 1, 2, ..."""
+    lines = text.splitlines()
+    nu, n, name, side = lines[0].split(",")
+    head = {"nu": int(nu), "n": int(n), "kernel": name.encode("ascii").decode("unicode_escape"),
+            "side": int(side)}
+    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows] == list(range(len(rows)))
+    return head, [row[1:] for row in rows]
+
+
 def brute_dilation(cells) -> Fraction:
     """All-pairs worst squared-distance over index-distance ratio."""
     # best so far is num/den; d2/gap beats it iff d2*den > num*gap

@@ -1,4 +1,3 @@
-import io as _io
 import re
 
 import numpy as np
@@ -31,7 +30,6 @@ from hhck.core import (
     reverse,
     strokes_to_path,
 )
-from hhck.io import read_curve_csv, write_curve_csv
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 
 from oracles import brute_strokes, first_fault
@@ -358,13 +356,6 @@ class TestCurvePathValidation:
         assert p.label_grid()[p.point(i)] == i
 
 
-def _read_back(p: CurvePath) -> CurvePath:
-    buf = _io.StringIO()
-    write_curve_csv(buf, p, 3, 3, "mouse")
-    buf.seek(0)
-    return read_curve_csv(buf)[1]
-
-
 # every way to get a CurvePath, each from the order-3 variant-3 mouse curve
 PRODUCERS = {
     "build_curve": lambda k, p: build_curve(3, 3, k),
@@ -372,7 +363,6 @@ PRODUCERS = {
     "tags.generate": lambda k, p: tags.generate(3, 3, k),
     "strokes_to_path": lambda k, p: strokes_to_path(path_to_strokes(p), p.side),
     "reverse": lambda k, p: reverse(reverse(p)),
-    "read_curve_csv": lambda k, p: _read_back(p),
     "int64": lambda k, p: CurvePath(p.side, p.cells.astype(np.int64)),
     "uint8": lambda k, p: CurvePath(p.side, p.cells.astype(np.uint8)),
     "object": lambda k, p: CurvePath(p.side, p.cells.astype(object)),

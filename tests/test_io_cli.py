@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from hhck.io import (
     STATS_FIELDS,
     _log_gray,
     fmt6,
-    read_curve_csv,
     stats_record,
     write_barrier_ppm,
     write_curve_csv,
@@ -35,7 +33,8 @@ from hhck.kernels import KERNEL_SHA256, load_bundled
 from hhck.locality import DIVISOR_CONVENTIONS, DifferenceMap, barrier_mask, diff_stats, \
     difference_map
 
-from oracles import brute_curve_csv, brute_diffmap_csv, brute_pgm, brute_ppm, hilbert_d2xy
+from oracles import brute_curve_csv, brute_diffmap_csv, brute_pgm, brute_ppm, hilbert_d2xy, \
+    is_space_filling_walk, parse_curve_csv
 
 BAD_KERNEL = "side 2\norigin 0 0\nstrokes rul\n"
 UNIT_KERNEL = "side 2\norigin 0 0\nstrokes urd\n"
@@ -82,10 +81,9 @@ class TestCurveCsv:
         p = build_curve(9, 2, mouse)
         buf = _io.StringIO()
         write_curve_csv(buf, p, 9, 2, "mouse")
-        buf.seek(0)
-        head, q = read_curve_csv(buf)
+        head, cells = parse_curve_csv(buf.getvalue())
         assert head == {"nu": 9, "n": 2, "kernel": "mouse", "side": 8}
-        assert q == p
+        assert cells == p.cells.tolist()
 
     @pytest.mark.parametrize("name", ["a,b", "back\\slash", "caf\u00e9", "tab\tand\nline"])
     def test_kernel_name_escaped_and_restored(self, unit, name):
@@ -93,8 +91,7 @@ class TestCurveCsv:
         write_curve_csv(buf, unit.path, 0, 1, name)
         header = buf.getvalue().splitlines()[0]
         assert header.isascii() and header.count(",") == 3
-        buf.seek(0)
-        assert read_curve_csv(buf)[0]["kernel"] == name
+        assert parse_curve_csv(buf.getvalue())[0]["kernel"] == name
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
     @pytest.mark.parametrize("name,order", [("unit", 5), ("mouse", 4), ("frog", 3)])
@@ -121,101 +118,14 @@ class TestCurveCsv:
         write_curve_csv(buf, p, 2, 2, name)
         assert buf.getvalue() == brute_curve_csv(2, 2, field, p.side, p.cells.tolist())
 
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            read_curve_csv(_io.StringIO("0,2,unit\n0,0,0\n"))
-
-    @pytest.mark.parametrize("header", ["\u0660,\u0662,unit,\u0664", "0,2,unit,+4",
-                                        "0,2,unit,3", "0,2,unit,0"],
-                             ids=["arabic-indic", "signed", "side-3", "side-0"])
-    def test_header_numbers_are_ascii_and_side_a_power_of_two(self, unit, header):
-        # the body is a valid order-2 unit curve, so only the header can fail
-        buf = _io.StringIO()
-        write_curve_csv(buf, build_curve(0, 2, unit), 0, 2, "unit")
-        body = buf.getvalue().split("\n", 1)[1]
-        with pytest.raises(ValueError, match="^curve CSV: (nu|side) must be"):
-            read_curve_csv(_io.StringIO(header + "\n" + body))
-
-    @pytest.mark.parametrize("header,message", [
-        ("12,2,unit,4", "nu must be 0..11, got 12"),
-        ("99,40,unit,2", "nu must be 0..11, got 99"),
-        ("0,0,unit,4", "n must be 1..2 for side 4, got 0"),
-        ("0,40,unit,2", "n must be 1..1 for side 2, got 40"),
-        ("0,3,unit,4", "n must be 1..2 for side 4, got 3"),
-        ("0,1,unit,1", "n must be 1..0 for side 1, got 1"),
-    ], ids=["nu-12", "nu-99-n-40", "n-0", "n-40", "2**n-past-side", "side-1"])
-    def test_header_no_curve_can_have_refused_before_the_body(self, monkeypatch, unit,
-                                                               header, message):
-        buf = _io.StringIO()
-        write_curve_csv(buf, build_curve(0, 2, unit), 0, 2, "unit")
-        body = buf.getvalue().split("\n", 1)[1]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("parsed the body of an impossible curve CSV")
-
-        monkeypatch.setattr(np, "loadtxt", refuse)
-        with pytest.raises(ValueError) as info:
-            read_curve_csv(_io.StringIO(header + "\n" + body))
-        assert str(info.value) == "curve CSV: " + message
-
-    @pytest.mark.parametrize("header", ["11,2,unit,4", "0,1,mouse,4", "5,2,frog,4"])
-    def test_header_any_curve_can_have_is_read(self, unit, header):
-        # the header is not checked against the body: a side-4 curve of
-        # order 1 (a 4x4 kernel) or order 2 (the unit kernel) is possible
-        buf = _io.StringIO()
-        write_curve_csv(buf, build_curve(0, 2, unit), 0, 2, "unit")
-        body = buf.getvalue().split("\n", 1)[1]
-        head, p = read_curve_csv(_io.StringIO(header + "\n" + body))
-        assert [str(v) for v in head.values()] == header.split(",")
-        assert p == build_curve(0, 2, unit)
-
-    def test_header_past_the_budget_refused_before_the_body(self, monkeypatch, unit):
-        buf = _io.StringIO()
-        write_curve_csv(buf, build_curve(0, 3, unit), 0, 3, "unit")
-        buf.seek(0)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("parsed the body of an over-budget curve CSV")
-
-        monkeypatch.setattr(core, "MAX_CELLS", 16)
-        monkeypatch.setattr(np, "loadtxt", refuse)
-        with pytest.raises(core.NotSpaceFilling, match="^a 64-cell curve exceeds the budget of 16"):
-            read_curve_csv(buf)
-
-    def test_out_of_order_step_rejected(self):
-        text = "0,1,unit,2\n0,0,0\n2,0,1\n"
-        with pytest.raises(ValueError, match="out of order"):
-            read_curve_csv(_io.StringIO(text))
-
-    @pytest.mark.parametrize("body", [
-        "0,0\n1,0\n2,1\n3,1\n",
-        "0,0,0,0\n1,0,1,0\n2,1,1,0\n3,1,0,0\n",
-        "0,0,0\n1,0,1\n2,1,1.0\n3,1,0\n",
-        "0,0,0\n1,0,1\n#\n2,1,1\n3,1,0\n",
-        "0,0,0\n1,0,9223372036854775808\n2,1,1\n3,1,0\n",
-        "0,0,0\n1,0,1\n3,1,1\n4,1,0\n",
-        "",
-    ], ids=["two-fields", "four-fields", "non-integer", "hash", "past-int64", "index-gap",
-            "empty"])
-    def test_malformed_body_rejected_without_warning(self, body):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError):
-                read_curve_csv(_io.StringIO("0,1,unit,2\n" + body))
-
-    def test_blank_lines_skipped(self, unit):
-        text = "0,1,unit,2\n\n0,0,0\n1,0,1\n\n\n2,1,1\n3,1,0\n\n"
-        assert read_curve_csv(_io.StringIO(text))[1] == unit.path
-
     @pytest.mark.parametrize("name,nu", [("unit", 0), ("mouse", 6), ("frog", 11)])
     def test_order_eight_reads_back(self, name, nu):
         p = build_curve(nu, 8, load_bundled(name))
         buf = _io.StringIO()
         write_curve_csv(buf, p, nu, 8, name)
-        buf.seek(0)
-        head, q = read_curve_csv(buf)
+        head, cells = parse_curve_csv(buf.getvalue())
         assert head == {"nu": nu, "n": 8, "kernel": name, "side": p.side}
-        assert q == p
+        assert cells == p.cells.tolist()
 
 
 class TestDiffmapCsv:
@@ -443,10 +353,9 @@ class TestCliGenerate:
         code, _, _ = run_cli(capsys, "generate", "--kernel", str(kernel_file),
                              "--order", "2", "-o", str(target))
         assert code == cli.EXIT_OK
-        with open(target, encoding="ascii") as fh:
-            head, p = read_curve_csv(fh)
+        head, cells = parse_curve_csv(target.read_text("ascii"))
         assert head == {"nu": 0, "n": 2, "kernel": stem, "side": 4}
-        assert p == build_curve(0, 2, load_bundled("unit"))
+        assert cells == build_curve(0, 2, load_bundled("unit")).cells.tolist()
 
     def test_fan_out_names_files_by_kernel_name(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "kdir").mkdir()
@@ -749,7 +658,8 @@ def test_fuzzed_argv_ends_in_a_documented_exit(argv):
     if "-o" in argv:
         assert text == ""
     elif argv[0] == "generate":
-        read_curve_csv(_io.StringIO(text))
+        head, cells = parse_curve_csv(text)
+        assert is_space_filling_walk(head["side"], cells)
     elif argv[0] == "diffmap":
         rows = [line.split(",") for line in text.splitlines()]
         assert rows and all(len(row) == len(rows) for row in rows)

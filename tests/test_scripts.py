@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from hhck import cli
+from hhck.affine import build_curve
 from hhck.core import CurvePath, KernelSpec, StrokeString, strokes_to_path
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 
@@ -126,6 +127,26 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block.group(1), "README.md", "exec"), {})
     assert out.getvalue().splitlines()[0] == "8 64"
+
+
+def test_readme_curve_csv_recipe_reads_generate_output(tmp_path):
+    # the README's two curve-CSV expressions, evaluated as written, on a
+    # kernel file whose stem holds a comma and a '#'
+    readme = (ROOT / "README.md").read_text("utf-8")
+    load, unescape = (re.search(rf"`({start}[^`]*)`", readme).group(1)
+                      for start in (r"np\.loadtxt\(path", r"name\.encode"))
+    kernel_file = tmp_path / "a,b#c.kernel"
+    kernel_file.write_text("side 2\norigin 0 0\nstrokes urd\n")
+    path = tmp_path / "c.csv"
+    code = cli.main(["generate", "--kernel", str(kernel_file), "--nu", "9", "--order", "3",
+                     "-o", str(path)])
+    assert code == cli.EXIT_OK
+    rows = eval(load, {"np": np, "path": path})
+    cells = build_curve(9, 3, load_bundled("unit")).cells
+    assert np.array_equal(rows[:, 0], np.arange(len(cells)))
+    assert np.array_equal(rows[:, 1:], cells)
+    name = path.read_text("ascii").split("\n", 1)[0].split(",")[2]
+    assert eval(unescape, {"name": name}) == "a,b#c"
 
 
 def test_readme_command_lines_run(monkeypatch, tmp_path):

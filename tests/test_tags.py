@@ -221,6 +221,26 @@ def test_engines_and_oracles_stay_independent(module, foreign):
     assert not shared, f"{module.__name__} imports {sorted(shared)}"
 
 
+def unused_imports(tree) -> list[str]:
+    """Names a module imports that no ``ast.Name`` in it reads, with their lines."""
+    imported = {a.asname or a.name.split(".")[0]: node.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package's __init__ imports names only to re-export them
+    root = Path(__file__).resolve().parent.parent
+    files = [p for p in sorted((root / "src" / "hhck").rglob("*.py"))
+             if p != root / "src" / "hhck" / "__init__.py"]
+    files += sorted((root / "scripts").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    found = {p.relative_to(root).as_posix(): unused_imports(ast.parse(p.read_text("utf-8")))
+             for p in files}
+    assert len(found) > 15 and not any(found.values()), {k: v for k, v in found.items() if v}
+
+
 BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum", "linalg"}
 
 
