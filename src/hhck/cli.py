@@ -47,11 +47,17 @@ class BackendMismatch(Exception):
         super().__init__(f"backend disagreement at step {step}: {', '.join(got)}")
 
 
+def number(token: str) -> int:
+    if not (token.isascii() and token.isdigit()):  # int() also takes signs, '_' and '٣'
+        raise ValueError(f"expected ASCII digits, got {token!r}")
+    return int(token)
+
+
 def _nu_values(nu: str) -> list[int]:
     if nu == "all":
         return list(range(N_VARIANTS))
     try:
-        value = int(nu)
+        value = number(nu)
     except ValueError:
         raise UsageError(f"--nu must be 0..{N_VARIANTS - 1} or 'all', got {nu!r}")
     if not 0 <= value < N_VARIANTS:
@@ -182,7 +188,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="output file (directory when --nu all); default stdout")
         if builds:
             sp.add_argument("--nu", default="0", help="variant 0..11, or 'all'")
-            sp.add_argument("--order", type=int, default=1, help="curve order n >= 1")
+            sp.add_argument("--order", type=number, default=1, help="curve order n >= 1")
             sp.add_argument("--backend", default="affine", choices=(*BACKENDS, "both"))
         if convention:
             sp.add_argument("--convention", default=DEFAULT_CONVENTION,

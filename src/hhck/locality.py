@@ -78,9 +78,6 @@ def reference_order(kernel: KernelSpec) -> int:
     return n
 
 
-# exclusive bound of int64, for the exact sums of diff_stats and barrier_mask
-_INT64_LIMIT = 2 ** 63
-
 # dilation_factor scans every index gap below this exactly
 _SEED_GAPS = 16
 # block pairs expanded at once (each has at most 16 children); cells squared at once
@@ -114,7 +111,7 @@ def _raise_best(best: tuple[int, int], d2: np.ndarray, gap: np.ndarray) -> tuple
 def _exact_sum(a: np.ndarray, top: int) -> int:
     """Sum of int64 entries of magnitude at most top: int64 partial sums over
     chunks small enough to stay below 2^63, added as python ints."""
-    chunk = max(1, (_INT64_LIMIT - 1) // max(top, 1))
+    chunk = max(1, (2 ** 63 - 1) // max(top, 1))
     return sum(np.add.reduceat(a, np.arange(0, len(a), chunk)).tolist())
 
 
@@ -190,7 +187,7 @@ def dilation_factor(p: CurvePath) -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class DifferenceMap:
-    """Per-cell mean absolute label difference, stored exactly.
+    """Per-cell mean absolute label difference: int32 numerators over one denominator.
 
     ``numerators[x, y] / denominator`` is the value of cell (x, y).
     """
@@ -201,6 +198,10 @@ class DifferenceMap:
     convention: str
     order: int
 
+    def __post_init__(self) -> None:
+        if getattr(self.numerators, "dtype", None) != np.int32:
+            raise ValueError(f"numerators must be int32, got {np.asarray(self.numerators).dtype}")
+
     def value(self, x: int, y: int) -> Fraction:
         return Fraction(int(self.numerators[x, y]), self.denominator)
 
@@ -208,6 +209,9 @@ class DifferenceMap:
 def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: int = 0) -> DifferenceMap:
     """Mean absolute label difference with existing king neighbors, per cell.
 
+    Numerators are int32 for both conventions: a cell sums 8, 5 or 3
+    differences below N = len(p) and ``neighbors`` weighs the sums by 15,
+    24 or 40, so each is at most 120 * (N - 1), below 2^31 within core.MAX_CELLS.
     ``order`` and ``convention`` are only stored on the map: nothing in
     the library reads them back, and ``io.stats_record`` takes both from
     its own arguments.
@@ -215,9 +219,6 @@ def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: in
     if convention not in DIVISOR_CONVENTIONS:
         raise ValueError(f"convention must be one of {DIVISOR_CONVENTIONS}, got {convention!r}")
     side = p.side
-    # a cell's sum has at most 8 terms, each below len(p), so under
-    # core.MAX_CELLS it is below 8 * 2^24 = 2^27 and int32 is exact, as
-    # are the int32 labels
     labels = p.label_grid()
     sums = np.zeros((side, side), dtype=np.int32)
     for dx, dy in _FORWARD_OFFSETS:
@@ -227,16 +228,14 @@ def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: in
         np.abs(diff, out=diff)
         sums[here] += diff
         sums[there] += diff
-    num = sums.astype(np.int64)
     if convention == "divisor8":
-        return DifferenceMap(side, num, 8, convention, order)
-    # 120 = lcm(3, 5, 8): corners have 3 neighbors, the rest of the border
-    # 5 and interior cells 8
-    num[1:-1, 1:-1] *= 15
-    num[[0, -1], 1:-1] *= 24
-    num[1:-1, [0, -1]] *= 24
-    num[np.ix_([0, -1], [0, -1])] *= 40
-    return DifferenceMap(side, num, 120, convention, order)
+        return DifferenceMap(side, sums, 8, convention, order)
+    # 120 = lcm(3, 5, 8): 3 neighbors at a corner, 5 on the rest of the border, 8 inside
+    sums[1:-1, 1:-1] *= 15
+    sums[[0, -1], 1:-1] *= 24
+    sums[1:-1, [0, -1]] *= 24
+    sums[np.ix_([0, -1], [0, -1])] *= 40
+    return DifferenceMap(side, sums, 120, convention, order)
 
 
 @dataclass(frozen=True)
@@ -257,20 +256,19 @@ class DiffStats:
 
 
 def diff_stats(m: DifferenceMap) -> DiffStats:
-    """Exact statistics of any int64 map: nothing is summed or multiplied past int64."""
+    """Exact statistics of a map: its int32 numerators sum exactly in int64 (N < 2^32)."""
     flat = m.numerators.ravel()
     n = len(flat)
     den = m.denominator
     # the one sort: every statistic reads the distinct values and their counts
     values, counts = np.unique(flat, return_counts=True)
-    total = _exact_sum(flat, max(int(values[-1]), -int(values[0])))
+    total = int(flat.sum(dtype=np.int64))
     # the middle two order statistics (the same one when n is odd)
     lo, hi = values[np.searchsorted(counts.cumsum(), [(n - 1) // 2, n // 2], side="right")]
     probs = counts / n
     # adding 0.0 turns the -0.0 of a constant map into 0.0
     entropy = float(-(probs * np.log2(probs)).sum()) + 0.0
-    # an integer is below the mean total/n iff it is below its ceiling,
-    # which an int64 holds, as the mean of int64s lies in their range
+    # an integer is below the mean total/n iff it is below its ceiling
     below = int(counts[values < -(-total // n)].sum())
     interior = m.numerators[1:-1, 1:-1]
     return DiffStats(
@@ -303,19 +301,15 @@ def barrier_mask(m: DifferenceMap) -> BarrierMask:
     integers: v > mu + s  iff  v > mu and (v - mu)^2 > variance, and
     with v = a/D, mu = A/(D*N) the denominators cancel, leaving
     a*N - A > root = isqrt(N * sum(a^2) - A^2), which for an integer a
-    is a > (A + root) // N: the cells meet one python int.  The a^2 are
-    summed one chunk of cells at a time, or in python ints when top^2
-    passes int64.
+    is a > (A + root) // N: the cells meet one python int.  The int32 a
+    are squared in int64 (below 2^62) one chunk of cells at a time.
     """
     flat = m.numerators.ravel()
     n = len(flat)
     top = max(int(flat.max()), -int(flat.min()))
-    a_sum = _exact_sum(flat, top)
-    if top * top < _INT64_LIMIT:
-        chunks = (flat[k:k + _CHUNK_PAIRS] for k in range(0, n, _CHUNK_PAIRS))
-        sq_sum = sum(_exact_sum(c * c, top * top) for c in chunks)
-    else:
-        sq_sum = sum(v * v for v in flat.tolist())
+    a_sum = int(flat.sum(dtype=np.int64))
+    chunks = (flat[k:k + _CHUNK_PAIRS].astype(np.int64) for k in range(0, n, _CHUNK_PAIRS))
+    sq_sum = sum(_exact_sum(c * c, top * top) for c in chunks)
     root = math.isqrt(n * sq_sum - a_sum * a_sum)
     return BarrierMask(m.side, m.numerators > (a_sum + root) // n)
 

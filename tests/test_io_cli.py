@@ -196,7 +196,7 @@ class TestPixelBands:
             assert render(write_barrier_ppm, m, mask) == brute_ppm(gray, mask.flags), nu
 
     def test_flat_map_is_black(self):
-        m = DifferenceMap(2, np.zeros((2, 2), dtype=np.int64), 8, "divisor8", 0)
+        m = DifferenceMap(2, np.zeros((2, 2), dtype=np.int32), 8, "divisor8", 0)
         assert render(write_diffmap_pgm, m) == "P2\n2 2\n255\n0 0\n0 0\n"
 
     @pytest.mark.parametrize("write", [write_diffmap_csv, write_diffmap_pgm, write_barrier_ppm],
@@ -245,10 +245,10 @@ class TestWritersMatchReference:
     def test_csv_values_of_a_million_and_more(self):
         # 1000000 and 1000001 are integers, so fmt6 prints every digit;
         # 1000000.5 is not, and %.6g rounds it
-        num = np.array([[8_000_000, 8_000_004], [8_000_008, 80_000_000_000]])
+        num = np.array([[8_000_000, 8_000_004], [8_000_008, 2_000_000_000]], dtype=np.int32)
         m = DifferenceMap(2, num, 8, "divisor8", 0)
         text = render(write_diffmap_csv, m)
-        assert text == "1e+06,10000000000\n1000000,1000001\n"
+        assert text == "1e+06,250000000\n1000000,1000001\n"
         assert text == brute_diffmap_csv(num, 8)
 
 
@@ -296,6 +296,13 @@ class TestCliUsage:
         # an empty --output names no file: not stdout, not the cwd
         ("diffmap", "--format", "pgm", "-o", ""),
         ("generate", "--nu", "all", "--order", "2", "-o", ""),
+        # --nu and --order take ASCII digits only, as kernel files do
+        ("analyze", "--nu", "1_0"),
+        ("analyze", "--nu", "+3"),
+        ("analyze", "--nu", "\u0663"),                # ARABIC-INDIC DIGIT THREE
+        ("analyze", "--order", "1_1"),
+        ("analyze", "--order", "+3"),
+        ("analyze", "--order", "\u0663"),
     ])
     def test_exit_one(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)  # a regressed "-o ''" would write here
@@ -701,6 +708,9 @@ def test_order_eleven_map_and_dilation_hold_no_second_copy(tmp_path):
     curve = peak_rss_mib(tmp_path, "generate", "--order", "11", "-o", "curve.csv")
     sigma = peak_rss_mib(tmp_path, "dilation", "--order", "11")
     assert sigma <= curve + 64, (curve, sigma)
+    # the map stays int32 (16 MiB at side 2048): an int64 copy read +64 MiB
+    stats = peak_rss_mib(tmp_path, "analyze", "--order", "11")
+    assert stats <= curve + 48, (curve, stats)
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -36,11 +36,14 @@ class TestModuleConstants:
         assert REFERENCE_SIDE == 256
 
     def test_cell_budget_keeps_each_width_exact(self):
-        # dilation cross products are int64 and map sums int32 with no
-        # wider fallback; raising MAX_CELLS past these must fail here
+        # dilation cross products are int64 and map numerators int32 with
+        # no wider fallback; raising MAX_CELLS past these must fail here.
+        # A neighbors numerator weighs 8, 5 or 3 differences below N by
+        # 15, 24 or 40
         side = math.isqrt(MAX_CELLS)
         assert 2 * (side - 1) ** 2 * MAX_CELLS < 2 ** 63
         assert 8 * MAX_CELLS < 2 ** 31
+        assert 120 * (MAX_CELLS - 1) < 2 ** 31
         # cells, labels and flat indices x*side + y are int32 and below
         # MAX_CELLS; a walk sums at most MAX_CELLS unit steps onto an
         # origin inside the grid
@@ -174,8 +177,22 @@ class TestDifferenceMap:
     def test_every_variant_matches_brute_force(self, name, n, convention):
         for nu in range(12):
             p = build_curve(nu, n, load_bundled(name))
-            assert map_values(difference_map(p, convention)) == \
+            m = difference_map(p, convention)
+            assert m.numerators.dtype == np.int32
+            assert map_values(m) == \
                 brute_diff_values(p.cells.tolist(), fixed8=(convention == "divisor8")), nu
+
+    @pytest.mark.parametrize("numerators", [
+        np.zeros((2, 2), dtype=np.int64),
+        np.zeros((2, 2), dtype=np.uint32),
+        np.zeros((2, 2)),
+        [[0, 0], [0, 0]],
+    ], ids=["int64", "uint32", "float", "list"])
+    def test_only_int32_numerators_are_taken(self, numerators):
+        # the readers sum int32 numerators in int64 and square them below
+        # 2^62; a wider map would overflow them silently
+        with pytest.raises(ValueError, match="int32"):
+            DifferenceMap(2, numerators, 8, "divisor8", 0)
 
     @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
     def test_side_one_map_is_zero_without_warning(self, convention):
@@ -214,22 +231,22 @@ class TestDiffStats:
         # so synthesize the degenerate case directly
         from hhck.locality import DifferenceMap
 
-        m = DifferenceMap(2, np.full((2, 2), 6, dtype=np.int64), 8, "divisor8", 1)
+        m = DifferenceMap(2, np.full((2, 2), 6, dtype=np.int32), 8, "divisor8", 1)
         s = diff_stats(m)
         assert s.entropy_bits == 0.0
         assert math.copysign(1.0, s.entropy_bits) == 1.0
         assert '"entropy_bits": 0,' in stats_record(s, "divisor8", 1)
         assert s.pct_below_mean == 0
 
-    @given(st.data(), st.sampled_from([8, 120]), st.sampled_from([3, 1 << 20, (1 << 63) - 1]))
+    @given(st.data(), st.sampled_from([8, 120]), st.sampled_from([3, 1 << 20, (1 << 31) - 1]))
     @settings(max_examples=80)
     def test_synthetic_maps_match_brute_force(self, data, den, top):
         # odd and even cell counts; a top of 3 makes heavy ties at the median,
-        # and the int64 maximum makes sums and products past 2^63
+        # and the int32 maximum makes sums past 2^31
         side = data.draw(st.integers(1, 7))
         values = data.draw(st.lists(st.integers(0, top), min_size=side * side,
                                     max_size=side * side))
-        m = DifferenceMap(side, np.array(values, dtype=np.int64).reshape(side, side),
+        m = DifferenceMap(side, np.array(values, dtype=np.int32).reshape(side, side),
                           den, "neighbors" if den == 120 else "divisor8", 0)
         s = diff_stats(m)
         want = brute_stats([Fraction(v, den) for v in values])
@@ -280,11 +297,10 @@ class TestBarrier:
 
     @pytest.mark.parametrize("scale", [
         1 << 24,   # a^2 < 2^62 fits int64, sum(a^2) needs chunks of one or two
-        1 << 56,   # a^2 overflows int64: python ints
     ])
     def test_large_numerators_match_reference(self, scale):
         rng = np.random.default_rng(scale % 1009)
-        num = rng.integers(0, 64, (8, 8)) * scale
+        num = (rng.integers(0, 64, (8, 8)) * scale).astype(np.int32)
         num[2, 5] = 127 * scale
         m = DifferenceMap(8, num, 8, "divisor8", 0)
         flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
@@ -292,13 +308,13 @@ class TestBarrier:
         assert flagged == brute_barrier(num)
 
     # the full signed range: A + root may be negative, and the threshold
-    # (A + root) // N may pass int64, as in the two examples
-    @given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=16, max_size=16))
-    @example([(1 << 63) - 1] * 15 + [0])
-    @example([-(1 << 63)] * 15 + [0])
+    # (A + root) // N may pass int32, as in the two examples
+    @given(st.lists(st.integers(-(1 << 31), (1 << 31) - 1), min_size=16, max_size=16))
+    @example([(1 << 31) - 1] * 15 + [0])
+    @example([-(1 << 31)] * 15 + [0])
     @settings(max_examples=40)
-    def test_any_int64_map_matches_reference(self, values):
-        num = np.array(values, dtype=np.int64).reshape(4, 4)
+    def test_any_int32_map_matches_reference(self, values):
+        num = np.array(values, dtype=np.int32).reshape(4, 4)
         m = DifferenceMap(4, num, 120, "neighbors", 0)
         flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
         assert flagged == brute_barrier(num)
@@ -312,7 +328,7 @@ class TestBarrier:
             assert flagged == brute_barrier(m.numerators), nu
 
     def test_holds_a_chunk_not_the_squared_map(self, unit):
-        # side 1024: the int64 map is 8 MiB and the returned mask 1 MiB;
+        # side 1024: the int32 map is 4 MiB and the returned mask 1 MiB;
         # the squares are made one chunk at a time
         m = difference_map(build_curve(0, 10, unit))
         tracemalloc.start()
@@ -322,6 +338,18 @@ class TestBarrier:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20, f"{peak / 2 ** 20:.1f} MiB above the map"
+
+    def test_stats_hold_no_wide_copy_of_the_map(self, unit):
+        # side 1024: np.unique sorts one int32 copy of the 4 MiB map, and
+        # the total is summed in int64 without an int64 copy of the cells
+        m = difference_map(build_curve(0, 10, unit))
+        tracemalloc.start()
+        try:
+            diff_stats(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, f"{peak / 2 ** 20:.1f} MiB above the map"
 
     def test_flagged_fraction_small(self, unit):
         p = build_curve(0, 5, unit)
@@ -378,7 +406,7 @@ class TestBoundary:
             assert boundary_run_fraction(mask, seam) == loop_run_fraction(mask, seam), seam
 
     def test_side_one_rejected(self):
-        m = DifferenceMap(1, np.zeros((1, 1), dtype=np.int64), 8, "divisor8", 0)
+        m = DifferenceMap(1, np.zeros((1, 1), dtype=np.int32), 8, "divisor8", 0)
         with pytest.raises(ValueError):
             boundary_profile(m)
         mask = BarrierMask(1, np.zeros((1, 1), dtype=bool))

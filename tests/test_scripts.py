@@ -164,3 +164,20 @@ def test_readme_command_lines_run(monkeypatch, tmp_path):
             code = cli.main(argv[1:])
         assert code == cli.EXIT_OK, line
         assert "-o" in argv or out.getvalue(), line
+
+
+def test_names_the_benchmark_tracer_binds_exist():
+    # perfbench/tracing.py rebinds these names to timing wrappers in every
+    # traced run, its self-test included; renaming one breaks the benchmark
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for mod_name, attr, _ in tracing.TRACED:
+        assert mod_name.startswith("hhck.")
+        assert callable(getattr(importlib.import_module(mod_name), attr)), (mod_name, attr)
+    for mod_name in tracing.MODULES:
+        importlib.import_module(mod_name)
+    for mod_name in tracing.CURVEPATH_CALLERS:
+        assert importlib.import_module(mod_name).CurvePath is CurvePath, mod_name
+    assert callable(importlib.import_module("hhck.affine").build_curve.cache_info)
