@@ -152,7 +152,7 @@ def rank_key(kernel, published_max):
     maxima, _ = variant_maxima_and_minima(kernel)
     printed_hits = sum(round_half_down(m) == t for m, t in zip(maxima, published_max))
     deviation = sum(abs(m - t) for m, t in zip(maxima, published_max))
-    return -printed_hits, has_crossing(kernel.path), deviation, kernel.strokes.strokes
+    return -printed_hits, has_crossing(kernel.path), deviation, kernel.strokes
 
 
 def main():
@@ -191,9 +191,9 @@ def main():
             continue
         finalists.sort(key=lambda k: rank_key(k, published))
         for k in finalists:
-            print(f"  strokes {k.strokes.strokes}  (crossing={has_crossing(k.path)})")
+            print(f"  strokes {k.strokes}  (crossing={has_crossing(k.path)})")
         pick = finalists[0]
-        print(f"  -> picked {pick.strokes.strokes}")
+        print(f"  -> picked {pick.strokes}")
         print(f"     sha256 {kernel_checksum(pick)}")
         if args.write_dir:
             out = f"{args.write_dir}/{name}.kernel"

@@ -24,11 +24,9 @@ if not any(v in _os.environ for v in _THREAD_VARS):
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .core import (
-    AXIAL_STROKES,
     BadEntryExit,
     CurveError,
     CurvePath,
-    DIAGONAL_STROKES,
     DiscontinuousJunction,
     GridPoint,
     KernelFormatError,
@@ -39,11 +37,9 @@ from .core import (
     RevisitedCell,
     STROKES,
     STROKE_VECTORS,
-    StrokeString,
     format_kernel_text,
     parse_kernel_text,
     path_to_strokes,
-    reverse,
     strokes_to_path,
 )
 from .affine import (

@@ -36,8 +36,6 @@ import numpy as np
 GridPoint = tuple[int, int]
 
 STROKES = "urdlabgt"
-AXIAL_STROKES = frozenset("urdl")
-DIAGONAL_STROKES = frozenset("abgt")
 
 STROKE_VECTORS: dict[str, GridPoint] = {
     "u": (0, 1),
@@ -85,6 +83,7 @@ class KernelFormatError(CurveError):
 #: Most cells any curve may have (check_budget): side 4096, 128 MiB of int32 cells.
 #: Far below 2**31, so every cell, label, flat index x*side + y and walk sum fits int32.
 MAX_CELLS = 1 << 24
+_BAND = 1 << 16  # cells per scatter of CurvePath.label_grid
 
 
 def check_budget(cells: int, order: int = 1) -> None:
@@ -242,9 +241,12 @@ class CurvePath:
         grid = self.__dict__.get("_label_grid")
         if grid is None:
             side = self.side
-            # one flat scatter: a 2-D one converts both index columns to intp
+            # flat scatters (a 2-D one converts both index columns to intp),
+            # a band of cells at a time so only the grid is full-size
             grid = np.empty(side * side, dtype=np.int32)
-            grid[_flat_index(self.cells, side)] = np.arange(len(self.cells), dtype=np.int32)
+            for start in range(0, len(self.cells), _BAND):
+                band = self.cells[start:start + _BAND]
+                grid[_flat_index(band, side)] = np.arange(start, start + len(band), dtype=np.int32)
             grid = grid.reshape(side, side)
             grid.flags.writeable = False
             object.__setattr__(self, "_label_grid", grid)
@@ -252,31 +254,13 @@ class CurvePath:
 
 
 def _grown_path(side: int, cells: np.ndarray) -> CurvePath:
-    """A CurvePath its construction proved valid (grow_once, reverse, tags.generate): no check."""
+    """A CurvePath its construction proved valid (affine.grow_once, tags.generate): no check."""
     p = object.__new__(CurvePath)
     cells = np.ascontiguousarray(cells)
     cells.flags.writeable = False
     object.__setattr__(p, "side", side)
     object.__setattr__(p, "cells", cells)
     return p
-
-
-@dataclass(frozen=True)
-class StrokeString:
-    """A stroke sequence plus the grid point the first stroke leaves from."""
-
-    strokes: str
-    origin: GridPoint = (0, 0)
-
-    def __post_init__(self) -> None:
-        bad = set(self.strokes) - set(STROKES)
-        if bad:
-            raise CurveError(f"unknown stroke letters {sorted(bad)}")
-        x, y = self.origin
-        object.__setattr__(self, "origin", (int(x), int(y)))
-
-    def __len__(self) -> int:
-        return len(self.strokes)
 
 
 # bytes.translate tables, x then y: the signed-byte step of each stroke
@@ -291,56 +275,47 @@ for _letter, (_dx, _dy) in STROKE_VECTORS.items():
     _STEP_LETTERS[(_dx + 1) * 3 + _dy + 1] = ord(_letter)
 
 
-def _walk(strokes: str, origin: GridPoint) -> np.ndarray:
-    """Cumulative int32 positions of a stroke string, origin included.
+def _walk(strokes: str) -> np.ndarray:
+    """Cumulative int32 positions of an ASCII stroke string walked from (0, 0), which is row 0.
 
-    ``bytes.translate`` maps the ASCII strokes of each axis through a
+    ``bytes.translate`` maps the strokes of each axis through a
     256-byte table to their -1/0/+1 steps, read in place as int8; the
     steps are summed with an int32 accumulator straight into that axis's
     column, because an int8 or int16 sum wraps after 128 or 32,768
     strokes one way.  One axis at a time is much faster in numpy than the
     same work along the short axis of an (n, 2) array.  The caller keeps
-    every sum below 2**31: an origin inside a grid within MAX_CELLS and
-    at most MAX_CELLS strokes.
+    every sum below 2**31 by walking at most MAX_CELLS strokes.
     """
     pos = np.empty((len(strokes) + 1, 2), dtype=np.int32)
+    pos[0] = 0
     raw = strokes.encode("ascii")
     for axis, table in enumerate(_AXIS_STEPS):
-        col = pos[:, axis]
-        col[0] = origin[axis]
-        np.cumsum(np.frombuffer(raw.translate(table), dtype=np.int8), dtype=np.int32, out=col[1:])
-        if origin[axis]:
-            col[1:] += origin[axis]
+        np.cumsum(np.frombuffer(raw.translate(table), dtype=np.int8), dtype=np.int32, out=pos[1:, axis])
     return pos
 
 
-def strokes_to_path(s: StrokeString, side: int) -> CurvePath:
-    """Materialize a stroke string as a space-filling path on a side x side grid.
+def strokes_to_path(strokes: str, side: int) -> CurvePath:
+    """Walk a stroke string from (0, 0) as a space-filling path on a side x side grid.
 
-    CurvePath checks the walk.  Before it is made, a side that is not a
-    power of two, more than MAX_CELLS cells or a grid past MAX_CELLS
-    (which no curve within the budget fills) raise NotSpaceFilling, and
-    an origin outside the grid is OutOfBounds at step 0, which cannot be
-    a revisit; so every walk fits int32.
+    A letter outside STROKES is a KernelFormatError.  CurvePath checks
+    the walk.  Before it is made, a side that is not a power of two,
+    more than MAX_CELLS cells or a grid past MAX_CELLS (which no curve
+    within the budget fills) raise NotSpaceFilling; so every walk fits
+    int32.
     """
+    bad = set(strokes) - set(STROKES)
+    if bad:
+        raise KernelFormatError(f"unknown stroke letters {sorted(bad)}")
     _check_side(side)
-    check_budget(len(s) + 1)
+    check_budget(len(strokes) + 1)
     check_budget(side * side)
-    x, y = s.origin
-    if not (0 <= x < side and 0 <= y < side):
-        raise OutOfBounds(f"cell {s.origin} at step 0 leaves the {side}x{side} grid")
-    return CurvePath(side, _walk(s.strokes, s.origin))
+    return CurvePath(side, _walk(strokes))
 
 
-def path_to_strokes(p: CurvePath) -> StrokeString:
-    """Read a path back as a stroke string anchored at its entry cell."""
+def path_to_strokes(p: CurvePath) -> str:
+    """The stroke letter of each step of a path; walked from its entry, the strokes give it back."""
     code = np.diff(p.cells[:, 0]) * 3 + np.diff(p.cells[:, 1]) + 4
-    return StrokeString(_STEP_LETTERS[code].tobytes().decode("ascii"), p.entry)
-
-
-def reverse(p: CurvePath) -> CurvePath:
-    """The same curve traversed end to start."""
-    return _grown_path(p.side, p.cells[::-1])
+    return _STEP_LETTERS[code].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -374,7 +349,7 @@ class KernelSpec:
         return self.path.side
 
     @cached_property
-    def strokes(self) -> StrokeString:
+    def strokes(self) -> str:
         return path_to_strokes(self.path)
 
 
@@ -414,19 +389,13 @@ def parse_kernel_text(text: str, name: str = "kernel") -> KernelSpec:
         raise KernelFormatError(f"side {side} exceeds the budget of {MAX_CELLS} cells")
     if len(fields["origin"]) != 2:
         raise KernelFormatError("origin must be two integers")
-    origin = (_ascii_int(fields["origin"][0], "origin"), _ascii_int(fields["origin"][1], "origin"))
-    if not (origin[0] < side and origin[1] < side):
-        raise KernelFormatError(f"origin must lie in the {side}x{side} grid")
+    if [_ascii_int(token, "origin") for token in fields["origin"]] != [0, 0]:
+        raise KernelFormatError("origin must be 0 0: a kernel enters at its lower-left cell")
     if len(fields["strokes"]) != 1:
         raise KernelFormatError("strokes must be a single token")
-    try:
-        strokes = StrokeString(fields["strokes"][0], origin)
-    except CurveError as exc:
-        raise KernelFormatError(str(exc)) from exc
-    return KernelSpec(name, strokes_to_path(strokes, side))
+    return KernelSpec(name, strokes_to_path(fields["strokes"][0], side))
 
 
 def format_kernel_text(spec: KernelSpec) -> str:
     """Canonical three-line text for a kernel (no comments)."""
-    s = spec.strokes
-    return f"side {spec.side}\norigin {s.origin[0]} {s.origin[1]}\nstrokes {s.strokes}\n"
+    return f"side {spec.side}\norigin 0 0\nstrokes {spec.strokes}\n"

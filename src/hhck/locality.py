@@ -228,6 +228,7 @@ def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: in
         np.abs(diff, out=diff)
         sums[here] += diff
         sums[there] += diff
+        del diff  # else the next offset's diff is made while this one is held
     if convention == "divisor8":
         return DifferenceMap(side, sums, 8, convention, order)
     # 120 = lcm(3, 5, 8): 3 neighbors at a corner, 5 on the rest of the border, 8 inside

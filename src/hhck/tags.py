@@ -129,7 +129,7 @@ def generate(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
 
     Trusted without a cell check (see the module docstring).
     """
-    pos = _walk(expand(nu, n, kernel.strokes.strokes), (0, 0))
+    pos = _walk(expand(nu, n, kernel.strokes))
     for col in pos.T:  # 1-D mins; pos.min(axis=0) reduces along the short axis
         col -= col.min()
     return _grown_path(kernel.side * 2 ** (n - 1), pos)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,9 @@ from hypothesis import strategies as st
 from hhck import core, tags
 from hhck.affine import N_VARIANTS, build_curve, grow_once
 from hhck.core import (
-    AXIAL_STROKES,
     BadEntryExit,
     CurveError,
     CurvePath,
-    DIAGONAL_STROKES,
     KernelFormatError,
     KernelSpec,
     MAX_CELLS,
@@ -22,12 +21,10 @@ from hhck.core import (
     RevisitedCell,
     STROKES,
     STROKE_VECTORS,
-    StrokeString,
     _walk,
     format_kernel_text,
     parse_kernel_text,
     path_to_strokes,
-    reverse,
     strokes_to_path,
 )
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
@@ -78,7 +75,7 @@ def make_path(cells):
 class TestStrokeAlphabet:
     def test_eight_letters(self):
         assert len(STROKES) == 8
-        assert set(STROKES) == AXIAL_STROKES | DIAGONAL_STROKES
+        assert set(STROKES) == set(STROKE_VECTORS)
 
     def test_vectors(self):
         assert STROKE_VECTORS["u"] == (0, 1)
@@ -94,30 +91,21 @@ class TestStrokeAlphabet:
 
 class TestStrokesToPath:
     def test_unit_shape(self):
-        p = strokes_to_path(StrokeString("urd", (0, 0)), 2)
+        p = strokes_to_path("urd", 2)
         assert p.cells.tolist() == [list(c) for c in UNIT_CELLS]
 
     def test_too_short(self):
         with pytest.raises(NotSpaceFilling, match=r"^expected 4 cells for side 2, got 2$"):
-            strokes_to_path(StrokeString("a", (0, 0)), 2)
+            strokes_to_path("a", 2)
 
     def test_leaves_grid(self):
         # also too short: leaving the grid is named first
         with pytest.raises(OutOfBounds, match=r"^cell \(0, 2\) at step 2 leaves the 2x2 grid$"):
-            strokes_to_path(StrokeString("uu", (0, 0)), 2)
+            strokes_to_path("uu", 2)
 
     def test_revisit(self):
         with pytest.raises(RevisitedCell):
-            strokes_to_path(StrokeString("url", (0, 0)), 2)
-
-    @pytest.mark.parametrize("origin", [(2 ** 31, 0), (0, 2 ** 31), (2 ** 63, 1), (2 ** 70, 0),
-                                        (-1, 0), (1, -2 ** 70)])
-    def test_origin_outside_the_grid_is_refused_before_the_walk(self, monkeypatch, origin):
-        # an int32 walk cannot start from these, so none may be walked
-        monkeypatch.setattr(core, "_walk", None)
-        with pytest.raises(OutOfBounds) as info:
-            strokes_to_path(StrokeString("urd", origin), 2)
-        assert str(info.value) == f"cell {origin} at step 0 leaves the 2x2 grid"
+            strokes_to_path("url", 2)
 
     @pytest.mark.parametrize("strokes,side,message", [
         ("u" * 16, 4, "^a 17-cell curve exceeds the budget of 16 cells$"),
@@ -128,33 +116,28 @@ class TestStrokesToPath:
         monkeypatch.setattr(core, "MAX_CELLS", 16)
         monkeypatch.setattr(core, "_walk", None)
         with pytest.raises(NotSpaceFilling, match=message):
-            strokes_to_path(StrokeString(strokes, (side - 1, 0)), side)
+            strokes_to_path(strokes, side)
 
     def test_side_is_checked_first(self):
         for side in (3, "4", 2.0):
             with pytest.raises(NotSpaceFilling, match="^grid side must be a power of two"):
-                strokes_to_path(StrokeString("urd", (9, 0)), side)
+                strokes_to_path("urd", side)
 
-    def test_bad_letter_rejected_at_construction(self):
-        with pytest.raises(CurveError):
-            StrokeString("urz", (0, 0))
+    def test_bad_letter_rejected_at_construction(self, monkeypatch):
+        monkeypatch.setattr(core, "_walk", None)
+        for strokes, side in (("urz", 2), ("ur\u00e9", 2), ("urz", 3)):
+            with pytest.raises(KernelFormatError, match=r"^unknown stroke letters \['.'\]$"):
+                strokes_to_path(strokes, side)
 
-    @given(st.sampled_from([2, 4, 8]), st.text(alphabet=STROKES, max_size=64),
-           st.integers(0, 7), st.integers(0, 7))
-    def test_names_the_reference_fault(self, side, strokes, x0, y0):
-        pts = [(x0 % side, y0 % side)]
-        for letter in strokes:
-            dx, dy = STROKE_VECTORS[letter]
-            pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
-        s = StrokeString(strokes, pts[0])
-        assert raised_fault(lambda: strokes_to_path(s, side)) == first_fault(side, pts)
+    @given(st.sampled_from([2, 4, 8]), st.text(alphabet=STROKES, max_size=64))
+    def test_names_the_reference_fault(self, side, strokes):
+        pts = running_sum(strokes)
+        assert raised_fault(lambda: strokes_to_path(strokes, side)) == first_fault(side, pts)
 
 
 class TestPathToStrokes:
     def test_unit_inverse(self):
-        s = path_to_strokes(make_path(UNIT_CELLS))
-        assert s.strokes == "urd"
-        assert s.origin == (0, 0)
+        assert path_to_strokes(make_path(UNIT_CELLS)) == "urd"
 
     def test_diagonal_steps_read_back(self):
         p = load_bundled("mouse").path
@@ -167,15 +150,16 @@ class TestPathToStrokes:
         for kname, nu, n, p in small_curves():
             if kname != name:
                 continue
-            for q in (p, reverse(p)):
+            for q in (p, reversed_path(p)):
                 s = path_to_strokes(q)
-                assert s.strokes == brute_strokes(q.cells.tolist()), (nu, n)
-                assert s.origin == q.entry
+                assert s == brute_strokes(q.cells.tolist()), (nu, n)
+                # walked from its entry, the string is the path again
+                assert (_walk(s) + q.cells[0] == q.cells).all(), (nu, n)
 
 
-def running_sum(strokes, origin):
-    """The walk's cells, one Python-int step at a time."""
-    want = [origin]
+def running_sum(strokes):
+    """The walk's cells from (0, 0), one Python-int step at a time."""
+    want = [(0, 0)]
     for letter in strokes:
         dx, dy = STROKE_VECTORS[letter]
         want.append((want[-1][0] + dx, want[-1][1] + dy))
@@ -183,46 +167,50 @@ def running_sum(strokes, origin):
 
 
 class TestWalk:
-    @given(st.text(alphabet=STROKES, max_size=200), st.integers(0, 63), st.integers(0, 63))
-    def test_running_sum(self, strokes, x0, y0):
-        pos = _walk(strokes, (x0, y0))
+    @given(st.text(alphabet=STROKES, max_size=200))
+    def test_running_sum(self, strokes):
+        pos = _walk(strokes)
         assert pos.dtype == np.int32 and pos.flags.c_contiguous
-        assert [tuple(c) for c in pos.tolist()] == running_sum(strokes, (x0, y0))
+        assert [tuple(c) for c in pos.tolist()] == running_sum(strokes)
 
-    # one direction long past int8 and int16 sums; from (0, 0), "l" goes
-    # negative as the unpinned tag walk does
+    # one direction long past int8 and int16 sums; "l" goes negative as
+    # the unpinned tag walk does
     @pytest.mark.parametrize("strokes", ["r" * 70000, "l" * 70000, "a" * 40000],
                              ids=["r70000", "l70000", "a40000"])
-    @pytest.mark.parametrize("origin", [(70000, 70000), (0, 0)])
-    def test_long_runs_sum_in_int32(self, strokes, origin):
-        pos = _walk(strokes, origin)
+    def test_long_runs_sum_in_int32(self, strokes):
+        pos = _walk(strokes)
         assert pos.dtype == np.int32
-        assert [tuple(c) for c in pos.tolist()] == running_sum(strokes, origin)
+        assert [tuple(c) for c in pos.tolist()] == running_sum(strokes)
 
     def test_empty_string_is_the_origin(self):
-        assert _walk("", (3, 5)).tolist() == [[3, 5]]
+        assert _walk("").tolist() == [[0, 0]]
+
+
+def reversed_path(p):
+    """The checked CurvePath of p traversed end to start."""
+    return CurvePath(p.side, p.cells[::-1])
 
 
 class TestReverse:
     def test_cells_reversed(self):
-        p = reverse(make_path(UNIT_CELLS))
+        p = reversed_path(make_path(UNIT_CELLS))
         assert p.cells.tolist() == [[1, 0], [1, 1], [0, 1], [0, 0]]
 
     def test_involution(self):
         p = make_path(UNIT_CELLS)
-        assert reverse(reverse(p)) == p
+        assert reversed_path(reversed_path(p)) == p
 
     def test_stroke_view(self):
-        s = path_to_strokes(reverse(make_path(UNIT_CELLS)))
-        assert s.strokes == "uld"
-        assert s.origin == (1, 0)
+        p = reversed_path(make_path(UNIT_CELLS))
+        assert path_to_strokes(p) == "uld"
+        assert p.entry == (1, 0)
 
     def test_opposite_stroke_duality(self):
         # the reversed walk takes every step backwards, last step first
         for name in BUILTIN_KERNELS:
             p = load_bundled(name).path
-            forward = path_to_strokes(p).strokes
-            backward = path_to_strokes(reverse(p)).strokes
+            forward = path_to_strokes(p)
+            backward = path_to_strokes(reversed_path(p))
             assert [STROKE_VECTORS[s] for s in backward] == \
                 [(-dx, -dy) for dx, dy in map(STROKE_VECTORS.get, forward[::-1])]
 
@@ -348,6 +336,21 @@ class TestCurvePathValidation:
         with pytest.raises(ValueError):
             p.cells[0, 0] = 5
 
+    def test_label_grid_holds_a_band_beside_the_grid(self, monkeypatch):
+        # side 1024: the 4 MiB grid and one band's flat index and labels;
+        # a scatter of every cell at once read +12 MiB
+        p = build_curve(0, 10, load_bundled("unit"))
+        tracemalloc.start()
+        try:
+            grid = p.label_grid()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.nbytes + (2 << 20), f"{peak / 2 ** 20:.1f} MiB above the curve"
+        # a ragged last band labels the same cells
+        monkeypatch.setattr(core, "_BAND", 7)
+        assert (CurvePath(p.side, p.cells).label_grid() == grid).all()
+
     @given(st.integers(0, 11), st.integers(0, 255), st.sampled_from(BUILTIN_KERNELS))
     def test_label_grid_inverts_point(self, nu, i, name):
         k = load_bundled(name)
@@ -356,26 +359,26 @@ class TestCurvePathValidation:
         assert p.label_grid()[p.point(i)] == i
 
 
-# every way to get a CurvePath, each from the order-3 variant-3 mouse curve
+# every way to get a CurvePath, as (made, expected): each remakes the
+# order-3 variant-3 mouse curve p, except that a stroke string is walked
+# from (0, 0), where p does not start, so strokes_to_path remakes the kernel
 PRODUCERS = {
-    "build_curve": lambda k, p: build_curve(3, 3, k),
-    "grow_once": lambda k, p: grow_once(3, build_curve(0, 2, k)),
-    "tags.generate": lambda k, p: tags.generate(3, 3, k),
-    "strokes_to_path": lambda k, p: strokes_to_path(path_to_strokes(p), p.side),
-    "reverse": lambda k, p: reverse(reverse(p)),
-    "int64": lambda k, p: CurvePath(p.side, p.cells.astype(np.int64)),
-    "uint8": lambda k, p: CurvePath(p.side, p.cells.astype(np.uint8)),
-    "object": lambda k, p: CurvePath(p.side, p.cells.astype(object)),
-    "list": lambda k, p: CurvePath(p.side, p.cells.tolist()),
-    "int32-fortran": lambda k, p: CurvePath(p.side, np.asfortranarray(p.cells)),
+    "build_curve": lambda k, p: (build_curve(3, 3, k), p),
+    "grow_once": lambda k, p: (grow_once(3, build_curve(0, 2, k)), p),
+    "tags.generate": lambda k, p: (tags.generate(3, 3, k), p),
+    "strokes_to_path": lambda k, p: (strokes_to_path(path_to_strokes(k.path), k.side), k.path),
+    "int64": lambda k, p: (CurvePath(p.side, p.cells.astype(np.int64)), p),
+    "uint8": lambda k, p: (CurvePath(p.side, p.cells.astype(np.uint8)), p),
+    "object": lambda k, p: (CurvePath(p.side, p.cells.astype(object)), p),
+    "list": lambda k, p: (CurvePath(p.side, p.cells.tolist()), p),
+    "int32-fortran": lambda k, p: (CurvePath(p.side, np.asfortranarray(p.cells)), p),
 }
 
 
 @pytest.mark.parametrize("make", PRODUCERS.values(), ids=PRODUCERS.keys())
 def test_every_producer_returns_frozen_contiguous_int32_cells(make):
     k = load_bundled("mouse")
-    p = build_curve(3, 3, k)
-    q = make(k, p)
+    q, p = make(k, build_curve(3, 3, k))
     assert q.cells.dtype == np.int32
     assert q.cells.flags.c_contiguous and not q.cells.flags.writeable
     assert q == p and hash(q) == hash(p)
@@ -454,13 +457,11 @@ class TestValidateKernel:
             assert again == spec
 
     def test_unit_kernel_axial_only(self):
-        s = load_bundled("unit").strokes.strokes
-        assert set(s) <= AXIAL_STROKES
+        assert set(load_bundled("unit").strokes) <= set("urdl")
 
     def test_decorated_kernels_use_diagonals(self):
         for name in ("mouse", "frog"):
-            s = load_bundled(name).strokes.strokes
-            assert set(s) & DIAGONAL_STROKES
+            assert set(load_bundled(name).strokes) & set("abgt")
 
 
 class TestKernelText:
@@ -488,6 +489,9 @@ class TestKernelText:
         "side 2\norigin \u0661 0\nstrokes urd\n",      # Arabic-Indic one
         "side 2\norigin \u0660 0\nstrokes urd\n",      # Arabic-Indic zero
         "side 2\norigin +0 0\nstrokes urd\n",
+        # in the grid, but a kernel is walked from (0, 0)
+        "side 2\norigin 1 0\nstrokes urd\n",
+        "side 2\norigin 1 1\nstrokes dlu\n",
     ])
     def test_malformed(self, text):
         with pytest.raises(KernelFormatError):
@@ -554,11 +558,11 @@ def test_kernel_text_parses_or_raises_a_curve_error(drawn):
 @given(st.text(alphabet=STROKES, min_size=3, max_size=3))
 def test_random_short_strings_parse_or_fail_cleanly(s):
     try:
-        p = strokes_to_path(StrokeString(s, (0, 0)), 2)
+        p = strokes_to_path(s, 2)
     except CurveError:
         return
     assert len(p) == 4
-    assert path_to_strokes(p).strokes == s
+    assert path_to_strokes(p) == s
 
 
 @given(st.sampled_from(BUILTIN_KERNELS))

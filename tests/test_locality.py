@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hhck import locality
 from hhck.affine import build_curve
-from hhck.core import MAX_CELLS, CurvePath, reverse
+from hhck.core import MAX_CELLS, CurvePath
 from hhck.io import stats_record
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 from hhck.locality import (
@@ -94,7 +94,7 @@ class TestDilation:
             p = build_curve(nu, n, load_bundled(name))
             sigma = brute_dilation(p.cells)
             assert dilation_factor(p) == sigma, nu
-            assert dilation_factor(reverse(p)) == sigma, nu
+            assert dilation_factor(CurvePath(p.side, p.cells[::-1])) == sigma, nu
 
     @pytest.mark.parametrize("nu", range(12))
     def test_unit_order_eight(self, nu, unit):
@@ -338,6 +338,20 @@ class TestBarrier:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20, f"{peak / 2 ** 20:.1f} MiB above the map"
+
+    @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
+    def test_map_holds_one_offset_difference_at_a_time(self, unit, convention):
+        # side 1024, label grid built: the 4 MiB sums and one int32 diff
+        # of at most 4 MiB; a second diff alive at once read +12 MiB
+        p = build_curve(0, 10, unit)
+        p.label_grid()
+        tracemalloc.start()
+        try:
+            difference_map(p, convention)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20, f"{peak / 2 ** 20:.1f} MiB above the curve and its labels"
 
     def test_stats_hold_no_wide_copy_of_the_map(self, unit):
         # side 1024: np.unique sorts one int32 copy of the 4 MiB map, and

@@ -20,7 +20,7 @@ import pytest
 
 from hhck import cli
 from hhck.affine import build_curve
-from hhck.core import CurvePath, KernelSpec, StrokeString, strokes_to_path
+from hhck.core import CurvePath, KernelSpec, strokes_to_path
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,11 +113,11 @@ def test_find_kernels_recovers_bundled_kernel(find_kernels, name):
     assert len(maxima) == 12
     assert all(abs(m - t) <= 1 for m, t in zip(maxima, published))
     # ranked from the printed order reversed, so the sort has work to do
-    finalists = [KernelSpec("kernel", strokes_to_path(StrokeString(s, (0, 0)), 4))
+    finalists = [KernelSpec("kernel", strokes_to_path(s, 4))
                  for s in reversed(FINALISTS[name])]
     ranked = sorted(finalists, key=lambda k: find_kernels.rank_key(k, published))
-    assert [k.strokes.strokes for k in ranked] == FINALISTS[name]
-    assert FINALISTS[name][0] == kernel.strokes.strokes
+    assert [k.strokes for k in ranked] == FINALISTS[name]
+    assert FINALISTS[name][0] == kernel.strokes
 
 
 def test_readme_quick_start_runs():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hhck import affine, tags
 from hhck.affine import N_VARIANTS, build_curve
-from hhck.core import STROKES, STROKE_VECTORS, BadEntryExit, CurvePath, KernelSpec, \
-    StrokeString, parse_kernel_text, reverse, strokes_to_path
+from hhck.core import STROKES, STROKE_VECTORS, BadEntryExit, CurvePath, KernelFormatError, \
+    KernelSpec, parse_kernel_text, strokes_to_path
 from hhck.kernels import BUILTIN_KERNELS, load_bundled
 from hhck.tags import MORPHISM_IMAGES, TAG_RULES, expand, generate
 
@@ -93,7 +93,7 @@ class TestExpand:
         for name in BUILTIN_KERNELS:
             k = load_bundled(name)
             want = (k.side * 4) ** 2 - 1
-            assert len(expand(7, 3, k.strokes.strokes)) == want
+            assert len(expand(7, 3, k.strokes)) == want
 
     def test_twelve_rules(self):
         assert len(TAG_RULES) == 12
@@ -134,23 +134,23 @@ class TestCrossEngine:
                 accepted.append(KernelSpec("kernel", p))
             except BadEntryExit:
                 refused += 1
-        assert sorted(k.strokes.strokes for k in accepted) == ["alb", "urd"]
+        assert sorted(k.strokes for k in accepted) == ["alb", "urd"]
         assert refused == 22
         for k in accepted:
             for nu in range(N_VARIANTS):
                 for n in range(1, 5):
-                    assert generate(nu, n, k) == build_curve(nu, n, k), (k.strokes.strokes, nu, n)
+                    assert generate(nu, n, k) == build_curve(nu, n, k), (k.strokes, nu, n)
 
     def test_string_cache_holds_bases_only(self, unit):
         tags._base_str.cache_clear()
         for nu in range(N_VARIANTS):
-            expand(nu, 6, unit.strokes.strokes)
+            expand(nu, 6, unit.strokes)
         # variant 0 at orders 1-5 and variant 5 at order 5, as in affine
         assert tags._base_str.cache_info().currsize == 6
 
     def test_expanded_string_walks_the_affine_path(self, unit):
         s = expand(0, 3, "urd")
-        p = strokes_to_path(StrokeString(s, (0, 0)), 8)
+        p = strokes_to_path(s, 8)
         assert p == build_curve(0, 3, unit)
 
 
@@ -181,13 +181,14 @@ class TestTrustedResult:
         # reversed, the unit kernel runs from (1, 0) to (0, 0) and the trust
         # premise fails.  Both engines take only a KernelSpec, and none,
         # made directly or parsed from kernel text, holds it
-        entry = r"^kernel must enter at \(0, 0\), got \(1, 0\)$"
-        made = (lambda: KernelSpec("rev", reverse(unit.path)),
-                lambda: parse_kernel_text("side 2\norigin 1 0\nstrokes uld\n", "rev"))
+        made = ((lambda: KernelSpec("rev", CurvePath(2, unit.path.cells[::-1])), BadEntryExit,
+                 r"^kernel must enter at \(0, 0\), got \(1, 0\)$"),
+                (lambda: parse_kernel_text("side 2\norigin 1 0\nstrokes uld\n", "rev"),
+                 KernelFormatError, r"^origin must be 0 0"))
         for engine in (generate, build_curve):
             for nu in range(N_VARIANTS):
-                for make in made:
-                    with pytest.raises(BadEntryExit, match=entry):
+                for make, error, message in made:
+                    with pytest.raises(error, match=message):
                         engine(nu, n, make())
 
 
@@ -219,6 +220,22 @@ def test_engines_and_oracles_stay_independent(module, foreign):
     # while neither side reads the other's code
     shared = {m for m in imported_modules(module) if m == foreign or m.startswith(foreign + ".")}
     assert not shared, f"{module.__name__} imports {sorted(shared)}"
+
+
+def callers(tree, name: str) -> list[str]:
+    """Functions of a module that call ``name``, bare or as an attribute."""
+    return [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            for node in ast.walk(f) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_unchecked_paths_come_only_from_proved_constructions():
+    # core._grown_path skips CurvePath's check; only the two growth
+    # rounds whose docstrings prove their curves valid may call it
+    package = Path(affine.__file__).parent
+    found = {f"{p.stem}.{caller}" for p in sorted(package.rglob("*.py"))
+             for caller in callers(ast.parse(p.read_text("utf-8")), "_grown_path")}
+    assert found == {"affine.grow_once", "tags.generate"}
 
 
 def unused_imports(tree) -> list[str]:
