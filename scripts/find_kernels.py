@@ -93,7 +93,7 @@ def fingerprint(kernel):
     """((median, interior median), interior_min, entropy) of variant 0."""
     [m] = variant_maps(kernel, [0])
     s = diff_stats(m)
-    inner = replace(m, side=m.side - 2, numerators=m.numerators[1:-1, 1:-1])
+    inner = replace(m, numerators=m.numerators[1:-1, 1:-1])
     return (s.median, diff_stats(inner).median), s.interior_min, s.entropy_bits
 
 

@@ -53,7 +53,6 @@ from .affine import (
 from .tags import TAG_RULES, TagRule, expand
 from .tags import generate as tag_generate
 from .locality import (
-    BarrierMask,
     DEFAULT_CONVENTION,
     DIVISOR_CONVENTIONS,
     DiffStats,

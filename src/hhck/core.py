@@ -225,14 +225,6 @@ class CurvePath:
             object.__setattr__(self, "_hash", h)
         return h
 
-    @property
-    def entry(self) -> GridPoint:
-        return (int(self.cells[0, 0]), int(self.cells[0, 1]))
-
-    @property
-    def exit(self) -> GridPoint:
-        return (int(self.cells[-1, 0]), int(self.cells[-1, 1]))
-
     def point(self, i: int) -> GridPoint:
         return (int(self.cells[i, 0]), int(self.cells[i, 1]))
 
@@ -339,10 +331,10 @@ class KernelSpec:
             object.__setattr__(self, "path", p)
         if p.side < 2:
             raise BadEntryExit("side-1 kernel rejected: entry and exit would coincide")
-        if p.entry != (0, 0):
-            raise BadEntryExit(f"kernel must enter at (0, 0), got {p.entry}")
-        if p.exit != (p.side - 1, 0):
-            raise BadEntryExit(f"kernel must exit at ({p.side - 1}, 0), got {p.exit}")
+        if p.point(0) != (0, 0):
+            raise BadEntryExit(f"kernel must enter at (0, 0), got {p.point(0)}")
+        if p.point(-1) != (p.side - 1, 0):
+            raise BadEntryExit(f"kernel must exit at ({p.side - 1}, 0), got {p.point(-1)}")
 
     @property
     def side(self) -> int:

@@ -15,7 +15,7 @@ from typing import IO
 import numpy as np
 
 from .core import CurvePath
-from .locality import BarrierMask, DifferenceMap, DiffStats
+from .locality import DifferenceMap, DiffStats
 
 
 def fmt6(x) -> str:
@@ -121,12 +121,12 @@ def write_diffmap_pgm(fh: IO[str], m: DifferenceMap) -> None:
     _write_bands(fh, m, lambda num, band: _PGM_PIXELS[_log_gray(num, m.denominator, top)], " ")
 
 
-def write_barrier_ppm(fh: IO[str], m: DifferenceMap, mask: BarrierMask) -> None:
-    """Plain PPM (P3): the PGM rendering with barrier cells in blue."""
+def write_barrier_ppm(fh: IO[str], m: DifferenceMap, mask: np.ndarray) -> None:
+    """Plain PPM (P3): the PGM rendering with the cells of the bool [x, y] mask in blue."""
     fh.write(f"P3\n{m.side} {m.side}\n255\n")
     top = math.log1p(float(m.numerators.max()) / m.denominator)
     _write_bands(fh, m, lambda num, band: _PPM_PIXELS[np.where(
-        mask.flags[:, band], 256, _log_gray(num, m.denominator, top))], " ")
+        mask[:, band], 256, _log_gray(num, m.denominator, top))], " ")
 
 
 STATS_FIELDS = ("mean", "max", "min", "median", "entropy_bits", "pct_below_mean",

@@ -189,18 +189,25 @@ def dilation_factor(p: CurvePath) -> Fraction:
 class DifferenceMap:
     """Per-cell mean absolute label difference: int32 numerators over one denominator.
 
-    ``numerators[x, y] / denominator`` is the value of cell (x, y).
+    ``numerators[x, y] / denominator`` is the value of cell (x, y); the
+    numerators are a square 2-D int32 grid, so the map's side is its
+    array's.  The denominator names the convention: 8 for ``divisor8``,
+    120 for ``neighbors``.
     """
 
-    side: int
     numerators: np.ndarray
     denominator: int
-    convention: str
     order: int
 
     def __post_init__(self) -> None:
-        if getattr(self.numerators, "dtype", None) != np.int32:
-            raise ValueError(f"numerators must be int32, got {np.asarray(self.numerators).dtype}")
+        num = self.numerators
+        if getattr(num, "dtype", None) != np.int32 or num.ndim != 2 or len(num) != num.shape[1]:
+            num = np.asarray(num)
+            raise ValueError(f"numerators must be a square 2-D int32 grid, got {num.dtype} {num.shape}")
+
+    @property
+    def side(self) -> int:
+        return len(self.numerators)
 
     def value(self, x: int, y: int) -> Fraction:
         return Fraction(int(self.numerators[x, y]), self.denominator)
@@ -212,8 +219,8 @@ def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: in
     Numerators are int32 for both conventions: a cell sums 8, 5 or 3
     differences below N = len(p) and ``neighbors`` weighs the sums by 15,
     24 or 40, so each is at most 120 * (N - 1), below 2^31 within core.MAX_CELLS.
-    ``order`` and ``convention`` are only stored on the map: nothing in
-    the library reads them back, and ``io.stats_record`` takes both from
+    ``order`` is only stored on the map: nothing in the library reads it
+    back, and ``io.stats_record`` takes the order and the convention from
     its own arguments.
     """
     if convention not in DIVISOR_CONVENTIONS:
@@ -230,13 +237,13 @@ def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: in
         sums[there] += diff
         del diff  # else the next offset's diff is made while this one is held
     if convention == "divisor8":
-        return DifferenceMap(side, sums, 8, convention, order)
+        return DifferenceMap(sums, 8, order)
     # 120 = lcm(3, 5, 8): 3 neighbors at a corner, 5 on the rest of the border, 8 inside
     sums[1:-1, 1:-1] *= 15
     sums[[0, -1], 1:-1] *= 24
     sums[1:-1, [0, -1]] *= 24
     sums[np.ix_([0, -1], [0, -1])] *= 40
-    return DifferenceMap(side, sums, 120, convention, order)
+    return DifferenceMap(sums, 120, order)
 
 
 @dataclass(frozen=True)
@@ -283,20 +290,8 @@ def diff_stats(m: DifferenceMap) -> DiffStats:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BarrierMask:
-    """Cells more than one population standard deviation above the mean."""
-
-    side: int
-    flags: np.ndarray  # bool, [x, y]
-
-    @property
-    def flagged_fraction(self) -> Fraction:
-        return Fraction(int(self.flags.sum()), self.flags.size)
-
-
-def barrier_mask(m: DifferenceMap) -> BarrierMask:
-    """Flag cells with value > mean + population standard deviation.
+def barrier_mask(m: DifferenceMap) -> np.ndarray:
+    """The bool [x, y] grid of the map's shape: value > mean + population standard deviation.
 
     The threshold involves a square root, so the comparison is done on
     integers: v > mu + s  iff  v > mu and (v - mu)^2 > variance, and
@@ -312,7 +307,7 @@ def barrier_mask(m: DifferenceMap) -> BarrierMask:
     chunks = (flat[k:k + _CHUNK_PAIRS].astype(np.int64) for k in range(0, n, _CHUNK_PAIRS))
     sq_sum = sum(_exact_sum(c * c, top * top) for c in chunks)
     root = math.isqrt(n * sq_sum - a_sum * a_sum)
-    return BarrierMask(m.side, m.numerators > (a_sum + root) // n)
+    return m.numerators > (a_sum + root) // n
 
 
 def boundary_profile(m: DifferenceMap) -> list[Fraction]:
@@ -335,23 +330,24 @@ def boundary_profile(m: DifferenceMap) -> list[Fraction]:
 _SEAMS = {"1-2": (1, False), "3-4": (1, True), "2-3": (0, True), "4-1": (0, False)}
 
 
-def boundary_run_fraction(mask: BarrierMask, boundary: str) -> Fraction:
-    """Longest flagged run along one quadrant boundary, as a fraction.
+def boundary_run_fraction(mask: np.ndarray, boundary: str) -> Fraction:
+    """Longest flagged run along one quadrant boundary of a bool [x, y] grid, as a fraction.
 
     Boundaries are named by the traversal-order quadrants they join:
     "1-2" (left half of the horizontal center line), "3-4" (right
     half), "2-3" (upper half of the vertical center line), "4-1"
     (lower half).  A boundary position counts as flagged when either of
-    the two cells that touch the line there is flagged.  The grid side
-    must be at least 2.
+    the two cells that touch the line there is flagged.  The grid side,
+    len(mask), must be at least 2.
     """
     if boundary not in _SEAMS:
         raise ValueError(f"boundary must be one of {sorted(_SEAMS)}, got {boundary!r}")
-    if mask.side < 2:
-        raise ValueError(f"boundary runs need side >= 2, got {mask.side}")
+    side = len(mask)
+    if side < 2:
+        raise ValueError(f"boundary runs need side >= 2, got {side}")
     axis, upper = _SEAMS[boundary]
-    half = mask.side // 2
-    line = np.take(mask.flags, [half - 1, half], axis=axis).any(axis=axis)
+    half = side // 2
+    line = np.take(mask, [half - 1, half], axis=axis).any(axis=axis)
     line = line[half:] if upper else line[:half]
     # runs start and end where the line, padded with False, changes
     edges = np.flatnonzero(np.diff(np.concatenate(([False], line, [False]))))

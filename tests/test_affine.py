@@ -224,7 +224,7 @@ class TestBuildCurve:
 
     def test_moore_order_two_endpoints_adjacent(self, unit):
         p = build_curve(1, 2, unit)
-        (x0, y0), (x1, y1) = p.entry, p.exit
+        (x0, y0), (x1, y1) = p.point(0), p.point(-1)
         assert abs(x0 - x1) + abs(y0 - y1) == 1
 
     def test_improper_order_two_equals_variant_five(self, unit, mouse, frog):

@@ -203,7 +203,7 @@ class TestReverse:
     def test_stroke_view(self):
         p = reversed_path(make_path(UNIT_CELLS))
         assert path_to_strokes(p) == "uld"
-        assert p.entry == (1, 0)
+        assert p.point(0) == (1, 0)
 
     def test_opposite_stroke_duality(self):
         # the reversed walk takes every step backwards, last step first
@@ -435,8 +435,8 @@ class TestValidateKernel:
     def test_unit_ok(self):
         spec = KernelSpec("unit", UNIT_CELLS)
         assert spec.side == 2
-        assert spec.path.entry == (0, 0)
-        assert spec.path.exit == (1, 0)
+        assert spec.path.point(0) == (0, 0)
+        assert spec.path.point(-1) == (1, 0)
 
     def test_exit_top_left(self):
         with pytest.raises(BadEntryExit, match=r"^kernel must exit at \(1, 0\), got \(0, 1\)$"):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from hhck.locality import (
     DEFAULT_CONVENTION,
     DIVISOR_CONVENTIONS,
     REFERENCE_SIDE,
-    BarrierMask,
     DifferenceMap,
     barrier_mask,
     boundary_profile,
@@ -187,12 +187,21 @@ class TestDifferenceMap:
         np.zeros((2, 2), dtype=np.uint32),
         np.zeros((2, 2)),
         [[0, 0], [0, 0]],
-    ], ids=["int64", "uint32", "float", "list"])
+        np.zeros(4, dtype=np.int32),
+        np.zeros((2, 2, 2), dtype=np.int32),
+        np.zeros((8, 4), dtype=np.int32),
+    ], ids=["int64", "uint32", "float", "list", "1-D", "3-D", "8x4"])
     def test_only_int32_numerators_are_taken(self, numerators):
         # the readers sum int32 numerators in int64 and square them below
-        # 2^62; a wider map would overflow them silently
-        with pytest.raises(ValueError, match="int32"):
-            DifferenceMap(2, numerators, 8, "divisor8", 0)
+        # 2^62; a wider map would overflow them silently.  The side is the
+        # grid's, so a grid that is not square has none
+        with pytest.raises(ValueError, match="square 2-D int32 grid"):
+            DifferenceMap(numerators, 8, 0)
+
+    def test_side_is_the_grids(self, unit):
+        m = difference_map(build_curve(0, 3, unit))
+        assert m.side == len(m.numerators) == 8
+        assert replace(m, numerators=m.numerators[1:-1, 1:-1]).side == 6
 
     @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
     def test_side_one_map_is_zero_without_warning(self, convention):
@@ -231,7 +240,7 @@ class TestDiffStats:
         # so synthesize the degenerate case directly
         from hhck.locality import DifferenceMap
 
-        m = DifferenceMap(2, np.full((2, 2), 6, dtype=np.int32), 8, "divisor8", 1)
+        m = DifferenceMap(np.full((2, 2), 6, dtype=np.int32), 8, 1)
         s = diff_stats(m)
         assert s.entropy_bits == 0.0
         assert math.copysign(1.0, s.entropy_bits) == 1.0
@@ -246,8 +255,7 @@ class TestDiffStats:
         side = data.draw(st.integers(1, 7))
         values = data.draw(st.lists(st.integers(0, top), min_size=side * side,
                                     max_size=side * side))
-        m = DifferenceMap(side, np.array(values, dtype=np.int32).reshape(side, side),
-                          den, "neighbors" if den == 120 else "divisor8", 0)
+        m = DifferenceMap(np.array(values, dtype=np.int32).reshape(side, side), den, 0)
         s = diff_stats(m)
         want = brute_stats([Fraction(v, den) for v in values])
         assert s.mean == want["mean"]
@@ -276,14 +284,13 @@ class TestDiffStats:
 class TestBarrier:
     def test_order_one_nothing_flagged(self, unit):
         mask = barrier_mask(difference_map(unit.path))
-        assert not mask.flags.any()
-        assert mask.flagged_fraction == 0
+        assert not mask.any()
 
     @given(nu=st.integers(0, 11))
     @settings(max_examples=12)
     def test_threshold_matches_exact_arithmetic(self, unit, nu):
         m = difference_map(build_curve(nu, 3, unit))
-        flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
+        flagged = {tuple(c) for c in np.argwhere(barrier_mask(m)).tolist()}
         assert flagged == brute_barrier(m.numerators)
 
     @pytest.mark.parametrize("convention", DIVISOR_CONVENTIONS)
@@ -292,7 +299,10 @@ class TestBarrier:
         kernel = load_bundled(name)
         for nu in (0, 1, 4, 6, 9):
             m = difference_map(build_curve(nu, order, kernel), convention)
-            flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
+            mask = barrier_mask(m)
+            assert isinstance(mask, np.ndarray) and mask.dtype == bool
+            assert mask.shape == m.numerators.shape == (m.side, m.side)
+            flagged = {tuple(c) for c in np.argwhere(mask).tolist()}
             assert flagged and flagged == brute_barrier(m.numerators)
 
     @pytest.mark.parametrize("scale", [
@@ -302,8 +312,8 @@ class TestBarrier:
         rng = np.random.default_rng(scale % 1009)
         num = (rng.integers(0, 64, (8, 8)) * scale).astype(np.int32)
         num[2, 5] = 127 * scale
-        m = DifferenceMap(8, num, 8, "divisor8", 0)
-        flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
+        m = DifferenceMap(num, 8, 0)
+        flagged = {tuple(c) for c in np.argwhere(barrier_mask(m)).tolist()}
         assert (2, 5) in flagged
         assert flagged == brute_barrier(num)
 
@@ -315,8 +325,8 @@ class TestBarrier:
     @settings(max_examples=40)
     def test_any_int32_map_matches_reference(self, values):
         num = np.array(values, dtype=np.int32).reshape(4, 4)
-        m = DifferenceMap(4, num, 120, "neighbors", 0)
-        flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
+        m = DifferenceMap(num, 120, 0)
+        flagged = {tuple(c) for c in np.argwhere(barrier_mask(m)).tolist()}
         assert flagged == brute_barrier(num)
 
     def test_chunked_squares_match_reference(self, unit, monkeypatch):
@@ -324,7 +334,7 @@ class TestBarrier:
         monkeypatch.setattr(locality, "_CHUNK_PAIRS", 7)
         for nu in (0, 1, 6, 9):
             m = difference_map(build_curve(nu, 3, unit))
-            flagged = {tuple(c) for c in np.argwhere(barrier_mask(m).flags).tolist()}
+            flagged = {tuple(c) for c in np.argwhere(barrier_mask(m)).tolist()}
             assert flagged == brute_barrier(m.numerators), nu
 
     def test_holds_a_chunk_not_the_squared_map(self, unit):
@@ -366,9 +376,11 @@ class TestBarrier:
         assert peak < 8 << 20, f"{peak / 2 ** 20:.1f} MiB above the map"
 
     def test_flagged_fraction_small(self, unit):
-        p = build_curve(0, 5, unit)
-        mask = barrier_mask(difference_map(p))
-        assert 0 < float(mask.flagged_fraction) < 0.25
+        m = difference_map(build_curve(0, 5, unit))
+        mask = barrier_mask(m)
+        flagged = Fraction(int(mask.sum()), mask.size)
+        assert flagged == Fraction(len(brute_barrier(m.numerators)), m.side ** 2)
+        assert 0 < flagged < Fraction(1, 4)
 
 
 class TestBoundary:
@@ -385,22 +397,19 @@ class TestBoundary:
         flags = np.zeros((8, 8), dtype=bool)
         flags[3, 0] = flags[3, 1] = True          # 4-1 wall, lower half
         flags[[3, 4], 6] = True                   # 2-3 wall, one row
-        mask = BarrierMask(8, flags)
-        assert boundary_run_fraction(mask, "4-1") == Fraction(1, 2)
-        assert boundary_run_fraction(mask, "2-3") == Fraction(1, 4)
-        assert boundary_run_fraction(mask, "1-2") == 0
+        assert boundary_run_fraction(flags, "4-1") == Fraction(1, 2)
+        assert boundary_run_fraction(flags, "2-3") == Fraction(1, 4)
+        assert boundary_run_fraction(flags, "1-2") == 0
 
     def test_run_counts_either_side(self):
         flags = np.zeros((4, 4), dtype=bool)
         flags[0, 1] = True   # below the 1-2 line
         flags[1, 2] = True   # above it, adjacent position
-        mask = BarrierMask(4, flags)
-        assert boundary_run_fraction(mask, "1-2") == 1
+        assert boundary_run_fraction(flags, "1-2") == 1
 
     def test_unknown_boundary(self):
-        mask = BarrierMask(4, np.zeros((4, 4), dtype=bool))
         with pytest.raises(ValueError):
-            boundary_run_fraction(mask, "1-3")
+            boundary_run_fraction(np.zeros((4, 4), dtype=bool), "1-3")
 
     @pytest.mark.parametrize("name,n", SMALL_CURVES)
     def test_profile_matches_cell_values(self, name, n):
@@ -415,26 +424,25 @@ class TestBoundary:
     def test_run_fraction_matches_loop(self, data):
         side = data.draw(st.integers(2, 9))
         cells = data.draw(st.lists(st.booleans(), min_size=side * side, max_size=side * side))
-        mask = BarrierMask(side, np.array(cells).reshape(side, side))
+        mask = np.array(cells).reshape(side, side)
         for seam in SEAMS:
             assert boundary_run_fraction(mask, seam) == loop_run_fraction(mask, seam), seam
 
     def test_side_one_rejected(self):
-        m = DifferenceMap(1, np.zeros((1, 1), dtype=np.int32), 8, "divisor8", 0)
+        m = DifferenceMap(np.zeros((1, 1), dtype=np.int32), 8, 0)
         with pytest.raises(ValueError):
             boundary_profile(m)
-        mask = BarrierMask(1, np.zeros((1, 1), dtype=bool))
         for seam in SEAMS:
             with pytest.raises(ValueError):
-                boundary_run_fraction(mask, seam)
+                boundary_run_fraction(np.zeros((1, 1), dtype=bool), seam)
 
 
 SEAMS = ("1-2", "3-4", "2-3", "4-1")
 
 
-def loop_run_fraction(mask: BarrierMask, seam: str) -> Fraction:
+def loop_run_fraction(mask: np.ndarray, seam: str) -> Fraction:
     """Longest run of flagged positions along a seam, one position at a time."""
-    side, flags = mask.side, mask.flags.tolist()
+    side, flags = len(mask), mask.tolist()
     half = side // 2
     if seam in ("1-2", "3-4"):
         span = range(0, half) if seam == "1-2" else range(half, side)

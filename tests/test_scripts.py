@@ -7,6 +7,7 @@ PYTHONPATH=src, at a small size.
 import contextlib
 import fcntl
 import importlib.util
+import inspect
 import io
 import os
 import re
@@ -181,3 +182,25 @@ def test_names_the_benchmark_tracer_binds_exist():
     for mod_name in tracing.CURVEPATH_CALLERS:
         assert importlib.import_module(mod_name).CurvePath is CurvePath, mod_name
     assert callable(importlib.import_module("hhck.affine").build_curve.cache_info)
+    # every library call of perfbench/worker.py and the tracer, in the
+    # shape they make it: dropping or renaming an argument fails here
+    nu = n = k = p = m = mask = s = fh = c = side = cells = object()
+    calls = [
+        ("hhck.kernels", "resolve_kernel", (k,), {}),
+        ("hhck.affine", "build_curve", (nu, n, k), {}),
+        ("hhck.tags", "generate", (nu, n, k), {}),
+        ("hhck.locality", "difference_map", (p,), {"convention": c, "order": n}),
+        ("hhck.locality", "diff_stats", (m,), {}),
+        ("hhck.io", "stats_record", (s, c, n), {"extra": {}}),
+        ("hhck.locality", "barrier_mask", (m,), {}),
+        ("hhck.locality", "boundary_profile", (m,), {}),
+        ("hhck.locality", "boundary_run_fraction", (mask, s), {}),
+        ("hhck.io", "write_diffmap_csv", (fh, m), {}),
+        ("hhck.io", "write_diffmap_pgm", (fh, m), {}),
+        ("hhck.io", "write_barrier_ppm", (fh, m, mask), {}),
+        ("hhck.locality", "dilation_factor", (p,), {}),
+        ("hhck.core", "CurvePath", (side, cells), {}),
+    ]
+    for mod_name, attr, args, kwargs in calls:
+        fn = getattr(importlib.import_module(mod_name), attr)
+        inspect.signature(fn).bind(*args, **kwargs)
