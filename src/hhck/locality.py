@@ -11,24 +11,29 @@ dilation factor is
 
 with squared Euclidean distance between cell centers.  Written this
 way (grid distance over index distance) the value is independent of
-the grid side.  It is found by branch and bound over index blocks.
-Every gap below G = 16 is scanned exactly first.  N = side^2 is a
-power of 4, so at every level L the blocks of 4^L consecutive cells
-tile the index range; a pyramid of their x/y bounding boxes is built
-from the cells themselves, assuming nothing about how the curve nests.
-For blocks I <= J at level L, every cell pair i in I, j in J is at most
-the largest squared distance d2 between the two boxes apart, and its
-gap is at least (J-I-1)*4^L + 1 (1 when I = J).  Gaps below G are
-already counted, so the block pair cannot beat the best ratio b when
-d2 <= b * max(smallest gap, G); it is dropped, as is a pair whose
-largest gap is below G.  Survivors split into their 16 child pairs
-(10 when I = J) down to single cells, where the ratio is exact; on the
-way the first cell of I and the last of J raise b.  Every prune and
-comparison is an integer cross-multiplication.  Cells, boxes and their
-squared distances (below 2^25) are int32; each product of a distance
-and a gap is int64, exact because core.MAX_CELLS keeps 2*(side-1)^2 * N
-below 2^49, so floats only choose which candidate to try and never
-decide the result.
+the grid side.  It is found by branch and bound over index blocks,
+started from a realized pair: the best ratio b among the leftmost,
+rightmost, lowest and highest cells of 16 equal index blocks, at most
+64 cells.  On the bundled kernels' curves checked so far (every
+variant up to 2^16 cells) this start is already sigma, so the search
+only confirms it; a start that falls short only costs time.  Every gap
+below G = 16 is then scanned exactly, a chunk of start cells at a
+time, so the scan holds chunk-sized differences rather than
+full-length ones.  N = side^2 is a power of 4, so at every level L the
+blocks of 4^L consecutive cells tile the index range; a pyramid of
+their x/y bounding boxes is built from the cells themselves, assuming
+nothing about how the curve nests.  For blocks I <= J at level L,
+every cell pair i in I, j in J is at most the largest squared distance
+d2 between the two boxes apart, and its gap is at least
+(J-I-1)*4^L + 1 (1 when I = J).  Gaps below G are already counted,
+so the block pair cannot beat b when d2 <= b * max(smallest gap, G);
+it is dropped, as is a pair whose largest gap is below G.  Survivors split into their 16
+child pairs (10 when I = J) down to single cells, where the ratio is
+exact and raises b.  Every prune and comparison is an integer
+cross-multiplication.  Cells, boxes and their squared distances (below
+2^25) are int32; each product of a distance and a gap is int64, exact
+because core.MAX_CELLS keeps 2*(side-1)^2 * N below 2^49, so floats
+only choose which candidate to try and never decide the result.
 
 Difference maps.  The difference map assigns to every cell the mean
 absolute label difference with its existing king neighbors.  Border
@@ -80,7 +85,8 @@ def reference_order(kernel: KernelSpec) -> int:
 
 # dilation_factor scans every index gap below this exactly
 _SEED_GAPS = 16
-# block pairs expanded at once (each has at most 16 children); cells squared at once
+# block pairs expanded at once (each has at most 16 children); cells squared
+# at once, by barrier_mask and by the dilation seed scan
 _CHUNK_PAIRS = 1 << 14
 # child offsets (a, b) of a block pair: block 4I+a against block 4J+b
 _CHILD_I = np.repeat(np.arange(4), 4)
@@ -115,6 +121,27 @@ def _exact_sum(a: np.ndarray, top: int) -> int:
     return sum(np.add.reduceat(a, np.arange(0, len(a), chunk)).tolist())
 
 
+def _extreme_start(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
+    """Best realized pair among the extreme cells of min(16, n) equal index blocks.
+
+    Each block gives its leftmost, rightmost, lowest and highest cell, at
+    most 64 candidates; every ordered pair of distinct candidates is a
+    pair of the curve, so the (num, den) returned is a lower bound on
+    sigma.  n is a power of 4, so the blocks tile the index range.
+    """
+    n = len(xs)
+    b = min(16, n)
+    size = n // b
+    starts = np.arange(0, n, size)
+    cand = np.concatenate([starts + pick(v.reshape(b, size), axis=1)
+                           for v in (xs, ys) for pick in (np.argmin, np.argmax)])
+    # i < j drops self-pairs and a cell that is extreme twice
+    i, j = np.nonzero(cand[:, None] < cand)
+    i, j = cand[i], cand[j]
+    d2 = (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2
+    return _raise_best((0, 1), d2.astype(np.int64), j - i)
+
+
 def _fold4(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     """op over each run of 4 consecutive entries of a."""
     return op(op(a[0::4], a[1::4]), op(a[2::4], a[3::4]))
@@ -130,16 +157,20 @@ def dilation_factor(p: CurvePath) -> Fraction:
     # (below n <= 2^24), so every cross product, below 2^49, is exact
     xs, ys = p.cells[:, 0], p.cells[:, 1]
 
-    # every gap below the seed width, scanned exactly
+    # every gap below the seed width, scanned exactly a chunk of start
+    # cells at a time: a window holds its chunk and the seed - 1 cells after
     seed = min(_SEED_GAPS, n)
-    tops = []
-    for g in range(1, seed):
-        dx, dy = xs[g:] - xs[:-g], ys[g:] - ys[:-g]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        tops.append(dx.max())
-    best = _raise_best((0, 1), np.array(tops, dtype=np.int64), np.arange(1, seed))
+    tops = np.zeros(seed - 1, dtype=np.int64)
+    for k in range(0, n - 1, _CHUNK_PAIRS):
+        wx, wy = xs[k:k + _CHUNK_PAIRS + seed - 1], ys[k:k + _CHUNK_PAIRS + seed - 1]
+        for g in range(1, min(seed, len(wx))):
+            m = min(_CHUNK_PAIRS, len(wx) - g)
+            dx, dy = wx[g:g + m] - wx[:m], wy[g:g + m] - wy[:m]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            tops[g - 1] = max(tops[g - 1], dx.max())
+    best = _raise_best(_extreme_start(xs, ys), tops, np.arange(1, seed))
 
     # level L holds the x/y min/max boxes of the n / 4^L blocks of 4^L
     # consecutive cells; n is a power of 4, so the top level is one block
@@ -173,12 +204,6 @@ def dilation_factor(p: CurvePath) -> Fraction:
         # max(smallest gap of the pair, seed) are left to bound
         low = np.maximum((span - 1) * size + 1, _SEED_GAPS)
         keep = (d2 * best[1] > low * best[0]) & ((span + 1) * size > _SEED_GAPS)
-        ci, cj, d2, low = ci[keep], cj[keep], d2[keep], low[keep]
-        # the first cell of I and the last of J are a realized pair
-        first, last = ci * size, (cj + 1) * size - 1
-        best = _raise_best(best, ((xs[last] - xs[first]) ** 2 + (ys[last] - ys[first]) ** 2)
-                           .astype(np.int64), last - first)
-        keep = d2 * best[1] > low * best[0]
         ci, cj = ci[keep], cj[keep]
         for k in range(0, len(ci), _CHUNK_PAIRS):
             stack.append((level, ci[k:k + _CHUNK_PAIRS], cj[k:k + _CHUNK_PAIRS]))

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -69,6 +70,42 @@ ORDER8_UNIT_SIGMA = (
 )
 
 
+# every bundled kernel at each order of at most 1,024 cells
+SMALL_CURVES = [(name, n) for name in BUILTIN_KERNELS for n in range(1, 6)
+                if (load_bundled(name).side << (n - 1)) ** 2 <= 1024]
+
+
+@functools.cache
+def small_sigma(name: str, n: int, nu: int) -> Fraction:
+    """The brute-force dilation factor of one small bundled curve, computed once per run."""
+    return brute_dilation(build_curve(nu, n, load_bundled(name)).cells)
+
+
+def two_opt_walk(side: int, moves: int, rng: np.random.Generator) -> CurvePath:
+    """A Hamiltonian king walk: the column boustrophedon after up to ``moves`` 2-opt moves.
+
+    Column x runs up for even x and down for odd x.  A move picks c_i and
+    reverses c[i+1..j] for a random j > i + 1 at which both new joins,
+    c_i to c_j and c_{i+1} to c_{j+1}, are king steps; the ends stay put.
+    """
+    cells = [(x, y if x % 2 == 0 else side - 1 - y) for x in range(side) for y in range(side)]
+    n = len(cells)
+    for _ in range(moves):
+        i = int(rng.integers(n - 3))
+        (xi, yi), (xn, yn) = cells[i], cells[i + 1]
+        js = [j for j in range(i + 2, n - 1)
+              if max(abs(cells[j][0] - xi), abs(cells[j][1] - yi)) == 1
+              and max(abs(cells[j + 1][0] - xn), abs(cells[j + 1][1] - yn)) == 1]
+        if js:
+            j = js[int(rng.integers(len(js)))]
+            cells[i + 1:j + 1] = cells[i + 1:j + 1][::-1]
+    return CurvePath(side, np.array(cells))
+
+
+def extreme_start(p: CurvePath) -> Fraction:
+    return Fraction(*locality._extreme_start(p.cells[:, 0], p.cells[:, 1]))
+
+
 class TestDilation:
     def test_order_one(self, unit):
         assert dilation_factor(unit.path) == 1
@@ -85,14 +122,11 @@ class TestDilation:
         p = build_curve(nu, n, load_bundled(name))
         assert dilation_factor(p) == brute_dilation(p.cells)
 
-    @pytest.mark.parametrize("name,n", [
-        (name, n) for name in BUILTIN_KERNELS for n in range(1, 6)
-        if (load_bundled(name).side << (n - 1)) ** 2 <= 1024
-    ])
+    @pytest.mark.parametrize("name,n", SMALL_CURVES)
     def test_every_variant_and_its_reverse_match_brute_force(self, name, n):
         for nu in range(12):
             p = build_curve(nu, n, load_bundled(name))
-            sigma = brute_dilation(p.cells)
+            sigma = small_sigma(name, n, nu)
             assert dilation_factor(p) == sigma, nu
             assert dilation_factor(CurvePath(p.side, p.cells[::-1])) == sigma, nu
 
@@ -112,10 +146,54 @@ class TestDilation:
             tracemalloc.stop()
         assert peak < 4 * p.cells.nbytes, f"{peak / 2 ** 20:.1f} MiB above the curve"
 
+    def test_order_eleven_holds_chunks_beside_the_pyramid(self, unit):
+        # order 11: 32 MiB of int32 cells; the box pyramid is about 2/3 of
+        # that, and the seed scan holds chunk-sized differences.  Full-length
+        # differences of two gaps at once read 2.0x the cells
+        p = build_curve(0, 11, unit)
+        tracemalloc.start()
+        try:
+            dilation_factor(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * p.cells.nbytes, f"{peak / p.cells.nbytes:.2f}x the curve's cells"
 
-# every bundled kernel at each order of at most 1,024 cells
-SMALL_CURVES = [(name, n) for name in BUILTIN_KERNELS for n in range(1, 6)
-                if (load_bundled(name).side << (n - 1)) ** 2 <= 1024]
+    @pytest.mark.parametrize("name,n", SMALL_CURVES)
+    def test_chunked_seed_scan_matches_brute_force(self, name, n, monkeypatch):
+        # chunks of 7 start cells (and 7 block pairs), so chunk edges fall
+        # inside the 15-gap window of the seed scan; the start is taken
+        # away, else it alone gives sigma on these curves
+        monkeypatch.setattr(locality, "_CHUNK_PAIRS", 7)
+        monkeypatch.setattr(locality, "_extreme_start", lambda xs, ys: (0, 1))
+        for nu in range(12):
+            assert dilation_factor(build_curve(nu, n, load_bundled(name))) == small_sigma(name, n, nu), nu
+
+    def test_two_opt_walks_match_brute_force(self):
+        # grown curves always start at sigma; these walks also take the
+        # branch and bound past a start that falls short
+        short = 0
+        for side, seeds in ((8, range(20)), (16, range(10))):
+            for seed in seeds:
+                p = two_opt_walk(side, 200, np.random.default_rng(seed))
+                sigma = brute_dilation(p.cells)
+                assert dilation_factor(p) == sigma, (side, seed)
+                short += extreme_start(p) < sigma
+        assert short, "no walk starts below sigma"
+
+    @pytest.mark.parametrize("name", BUILTIN_KERNELS)
+    def test_start_is_sigma_on_grown_curves(self, name):
+        kernel = load_bundled(name)
+        for n in range(1, 9):
+            if (kernel.side << (n - 1)) ** 2 > 1 << 14:
+                break
+            for nu in range(12):
+                p = build_curve(nu, n, kernel)
+                assert extreme_start(p) == dilation_factor(p), (n, nu)
+
+    def test_start_is_sigma_at_unit_order_eight(self, unit):
+        for nu in range(12):
+            assert extreme_start(build_curve(nu, 8, unit)) == ORDER8_UNIT_SIGMA[nu], nu
 
 
 def map_values(m: DifferenceMap) -> dict[tuple[int, int], Fraction]:
