@@ -9,6 +9,17 @@ statistics, locality barriers and quadrant boundary profiles.
 hhck runs on one thread and calls no BLAS routine, so it loads numpy
 with a one-thread OpenBLAS pool unless the caller set a thread count or
 imported numpy first, and leaves ``os.environ`` as it found it.
+
+Under glibc it also sets malloc's mmap threshold to 1 MiB and its trim
+threshold to 16 MiB, once.  By default a freed array goes back to the
+kernel, mapped or trimmed off the heap top, and the next array of that
+size faults the same pages in again.  With these settings every array
+of a side-256 curve comes from a heap that keeps up to 16 MiB free at
+its top, and larger blocks are still mapped and unmapped.  Setting
+either threshold turns glibc's dynamic threshold off, so both are set.
+A caller who set ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_``,
+``MALLOC_TOP_PAD_``, ``MALLOC_MMAP_MAX_`` or a ``glibc.malloc.`` entry
+in ``GLIBC_TUNABLES`` keeps their own policy.
 """
 
 import os as _os
@@ -22,6 +33,20 @@ if not any(v in _os.environ for v in _THREAD_VARS):
         import numpy as _numpy
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
+
+_MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+                "MALLOC_MMAP_MAX_")
+if (not any(v in _os.environ for v in _MALLOC_VARS)
+        and "glibc.malloc." not in _os.environ.get("GLIBC_TUNABLES", "")):
+    import ctypes as _ctypes  # numpy imports it too
+
+    try:
+        _mallopt = _ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no mallopt, or no C library by name
+        pass
+    else:
+        _mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+        _mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
 
 from .core import (
     BadEntryExit,

@@ -87,14 +87,14 @@ def _build_path(args: argparse.Namespace, nu: int, kernel: KernelSpec) -> CurveP
     return a
 
 
-def _emit(args: argparse.Namespace, nu: int, kernel: KernelSpec, out_path: Path | None) -> None:
+def _emit(args: argparse.Namespace, nu: int, kernel: KernelSpec, out_path: str | Path | None) -> None:
     """Run one (command, nu) unit of work."""
 
     def deliver(write, suffix: str = "") -> None:
         if out_path is None:
             write(sys.stdout)
         else:
-            target = out_path.with_suffix(suffix) if suffix else out_path
+            target = Path(out_path).with_suffix(suffix) if suffix else out_path
             with open(target, "w", encoding="ascii", newline="\n") as fh:
                 write(fh)
 
@@ -155,7 +155,9 @@ def run(args: argparse.Namespace) -> int:
             stem = f"{args.command}-{kernel.name}-n{args.order}"
             targets = [(k, out_dir / f"{stem}-nu{k:02d}.{args.format}") for k in nus]
         else:
-            targets = [(nus[0], None if args.output is None else Path(args.output))]
+            # the name as given: Path() would drop a trailing separator,
+            # which open() refuses, as it refuses a directory
+            targets = [(nus[0], args.output)]
         for nu, target in targets:
             _emit(args, nu, kernel, target)
         return EXIT_OK

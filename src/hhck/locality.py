@@ -85,9 +85,12 @@ def reference_order(kernel: KernelSpec) -> int:
 
 # dilation_factor scans every index gap below this exactly
 _SEED_GAPS = 16
-# block pairs expanded at once (each has at most 16 children); cells squared
-# at once, by barrier_mask and by the dilation seed scan
+# cells squared at once, by barrier_mask and by the dilation seed scan
 _CHUNK_PAIRS = 1 << 14
+# block pairs expanded at once: with 16 children each, a round's int64
+# child indices are 512 KiB, below the 1 MiB mmap threshold that
+# ``import hhck`` sets, so they reuse heap pages instead of new mappings
+_EXPAND_PAIRS = 1 << 12
 # child offsets (a, b) of a block pair: block 4I+a against block 4J+b
 _CHILD_I = np.repeat(np.arange(4), 4)
 _CHILD_J = np.tile(np.arange(4), 4)
@@ -205,8 +208,8 @@ def dilation_factor(p: CurvePath) -> Fraction:
         low = np.maximum((span - 1) * size + 1, _SEED_GAPS)
         keep = (d2 * best[1] > low * best[0]) & ((span + 1) * size > _SEED_GAPS)
         ci, cj = ci[keep], cj[keep]
-        for k in range(0, len(ci), _CHUNK_PAIRS):
-            stack.append((level, ci[k:k + _CHUNK_PAIRS], cj[k:k + _CHUNK_PAIRS]))
+        for k in range(0, len(ci), _EXPAND_PAIRS):
+            stack.append((level, ci[k:k + _EXPAND_PAIRS], cj[k:k + _EXPAND_PAIRS]))
     return Fraction(*best)
 
 
@@ -233,9 +236,6 @@ class DifferenceMap:
     @property
     def side(self) -> int:
         return len(self.numerators)
-
-    def value(self, x: int, y: int) -> Fraction:
-        return Fraction(int(self.numerators[x, y]), self.denominator)
 
 
 def difference_map(p: CurvePath, convention: str = DEFAULT_CONVENTION, order: int = 0) -> DifferenceMap:

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import hashlib
 import io as _io
 import json
@@ -538,6 +539,21 @@ class TestCliFailures:
         code, _, _ = run_cli(capsys, "generate", "-o", str(target))
         assert code == cli.EXIT_IO
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("argv", [["generate"], ["diffmap", "--format", "pgm"]],
+                             ids=["generate", "diffmap-pgm"])
+    def test_output_with_trailing_separator_exits_four(self, capsys, tmp_path, argv, existing):
+        # -o DIR/ names a directory, whether it exists or not; dropping the
+        # separator wrote the files DIR and DIR.barrier.ppm
+        target = tmp_path / "out"
+        if existing:
+            target.mkdir()
+        code, out, err = run_cli(capsys, *argv, "--order", "2", "-o", str(target) + os.sep)
+        assert code == cli.EXIT_IO
+        assert out == "" and "Traceback" not in err
+        assert [q.name for q in tmp_path.iterdir()] == (["out"] if existing else [])
+        assert not existing or not any(target.iterdir())
+
     def test_backend_mismatch_exits_three(self, capsys, monkeypatch, tmp_path):
         true_tag = cli.BACKENDS["tag"]
 
@@ -676,16 +692,25 @@ def test_fuzzed_argv_ends_in_a_documented_exit(argv):
         assert all(isinstance(json.loads(line), dict) for line in text.splitlines())
 
 
+# a process's ru_maxrss starts from the peak of the memory it replaced at
+# exec, so a child started from this process would read at least this
+# process's own peak; a small launcher starts the command and waits for it
+PEAK_LAUNCHER = ("import os, subprocess, sys; "
+                 "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL,"
+                 " stderr=subprocess.DEVNULL); "
+                 "_, status, usage = os.wait4(proc.pid, 0); "
+                 "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
 def peak_rss_mib(cwd, *argv) -> float:
     """Peak RSS of one ``python -m hhck.cli`` child, from os.wait4 (ru_maxrss is KiB on Linux)."""
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.Popen([sys.executable, "-m", "hhck.cli", *argv], cwd=cwd,
-                            env=dict(os.environ, PYTHONPATH=str(src)),
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == cli.EXIT_OK, argv
-    return usage.ru_maxrss / 1024
+    out = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, sys.executable, "-m", "hhck.cli",
+                          *argv], cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    code, kib = map(int, out.split())
+    assert code == cli.EXIT_OK, argv
+    return kib / 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
@@ -718,19 +743,58 @@ def test_order_eleven_map_and_dilation_hold_no_second_copy(tmp_path):
     assert stats <= curve + 30, (curve, stats)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_generate_at_order_eleven_holds_under_four_copies_of_its_cells(tmp_path):
+    # 112 MiB is 3.5x the 32 MiB of int32 cells at side 2048, with the
+    # interpreter and numpy; the writer formats a band of rows at a time
+    curve = peak_rss_mib(tmp_path, "generate", "--order", "11", "-o", "curve.csv")
+    assert curve <= 112, curve
+
+
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+               "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES")
+
+
+def child_json(code: str, drop: tuple, **env):
+    """What a child python prints as JSON, run on src without the variables drop names."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    clean = {k: v for k, v in os.environ.items() if k not in drop}
+    out = subprocess.run([sys.executable, "-c", code], env=dict(clean, PYTHONPATH=str(src), **env),
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
 
 
 def blas_child(imports, **env) -> list:
     """Task count, unchanged environment and OPENBLAS_NUM_THREADS of a child that runs imports."""
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (f"import json, os; before = dict(os.environ); {imports}; "
             "print(json.dumps([len(os.listdir('/proc/self/task')), dict(os.environ) == before,"
             " os.environ.get('OPENBLAS_NUM_THREADS')]))")
-    clean = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    out = subprocess.run([sys.executable, "-c", code], env=dict(clean, PYTHONPATH=str(src), **env),
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
+    return child_json(code, THREAD_VARS, **env)
+
+
+def fault_child(**env) -> list:
+    """Minor page faults of 20 warm rounds that grow a side-256 curve by both
+    engines and compare them, and whether import hhck left os.environ as it was."""
+    code = ("import json, os, resource; before = dict(os.environ); import numpy as np, hhck\n"
+            "unit = hhck.load_bundled('unit')\n"
+            "def rounds(k):\n"
+            "    for _ in range(k):\n"
+            "        a, b = hhck.build_curve(3, 8, unit), hhck.tag_generate(3, 8, unit)\n"
+            "        assert np.array_equal(a.cells, b.cells)\n"
+            "rounds(3)\n"
+            "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "rounds(20)\n"
+            "print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start,"
+            " dict(os.environ) == before]))")
+    return child_json(code, MALLOC_VARS, **env)
+
+
+def has_glibc() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "gnu_get_libc_version")
+    except (OSError, TypeError):
+        return False
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/task")
@@ -748,3 +812,21 @@ def test_callers_blas_thread_count_is_kept():
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/task")
 def test_numpy_imported_first_keeps_its_pool():
     assert blas_child("import numpy; import hhck") == blas_child("import numpy")
+
+
+@pytest.mark.skipif(not has_glibc(), reason="sets glibc malloc's thresholds")
+def test_freed_arrays_stay_on_the_heap():
+    # each round's 512 KiB arrays reuse the pages the last round freed,
+    # where glibc's default policy returns them and faults them in again
+    faults, kept = fault_child()
+    assert faults < 200 and kept, faults
+
+
+@pytest.mark.skipif(not has_glibc(), reason="sets glibc malloc's thresholds")
+@pytest.mark.parametrize("env", [{"MALLOC_MMAP_THRESHOLD_": "131072"},
+                                 {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}],
+                         ids=["variable", "tunable"])
+def test_callers_malloc_policy_is_kept(env):
+    # a 128 KiB mmap threshold maps and unmaps every array of a round
+    faults, kept = fault_child(**env)
+    assert faults > 5000 and kept, faults
