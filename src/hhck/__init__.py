@@ -70,12 +70,11 @@ from .core import (
 from .affine import (
     AffineMap,
     RULE_SETS,
-    RuleSet,
     apply_affine,
     build_curve,
     grow_once,
 )
-from .tags import TAG_RULES, TagRule, expand
+from .tags import TAG_RULES, expand
 from .tags import generate as tag_generate
 from .locality import (
     DEFAULT_CONVENTION,

@@ -1,8 +1,8 @@
 """Affine-recursion generator for the twelve homogeneous curve variants.
 
-A variant nu in 0..11 is a set of four affine maps.  One growth round
-applies each map to the whole previous-order curve, producing four
-quadrant images on the doubled grid, concatenated in traversal order
+A variant nu in 0..11 is its four affine maps ``RULE_SETS[nu]``.  One
+growth round applies each map to the whole previous-order curve,
+producing four quadrant images on the doubled grid, in traversal order
 lower-left, upper-left, upper-right, lower-right.  Variants:
 
     0  Hilbert          6..11  reversal-based variants: their growth
@@ -21,7 +21,8 @@ t, halve" that keeps cell centers on cell centers; it also folds the
 translations (2,1) and (1,2) back inside the doubled grid.
 
 Variants 6..11 coincide with variant 5 at order 2 by construction, so
-their own maps first act at order 3.
+their own maps first act at order 3.  ``build_curve`` writes that rule
+and the base variant: 0 for nu < 6, else 5.
 """
 
 from __future__ import annotations
@@ -75,30 +76,21 @@ def _mk(sign: int, letter: str, t_index: int, rev: bool = False) -> AffineMap:
     return AffineMap(_SIGNED_U[sign, letter], T_VECTORS[t_index], rev)
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    """The four quadrant maps of one variant and the variant it grows from."""
-
-    nu: int
-    maps: tuple[AffineMap, AffineMap, AffineMap, AffineMap]
-    base: int  # variant supplying the order n-1 curve: 0 for nu<=5, else 5
-
-
-RULE_SETS: tuple[RuleSet, ...] = (
+RULE_SETS: tuple[tuple[AffineMap, AffineMap, AffineMap, AffineMap], ...] = (
     # proper variants, grown from variant 0
-    RuleSet(0, (_mk(+1, "R", 0), _mk(+1, "I", 1), _mk(+1, "I", 3), _mk(-1, "R", 4)), 0),
-    RuleSet(1, (_mk(+1, "V", 2), _mk(+1, "V", 3), _mk(-1, "V", 5), _mk(-1, "V", 3)), 0),
-    RuleSet(2, (_mk(-1, "I", 3), _mk(+1, "I", 1), _mk(+1, "I", 3), _mk(-1, "I", 4)), 0),
-    RuleSet(3, (_mk(+1, "H", 1), _mk(+1, "V", 3), _mk(-1, "V", 5), _mk(+1, "H", 3)), 0),
-    RuleSet(4, (_mk(+1, "R", 0), _mk(+1, "I", 1), _mk(+1, "I", 3), _mk(-1, "I", 4)), 0),
-    RuleSet(5, (_mk(+1, "H", 1), _mk(+1, "V", 3), _mk(-1, "V", 5), _mk(-1, "V", 3)), 0),
+    (_mk(+1, "R", 0), _mk(+1, "I", 1), _mk(+1, "I", 3), _mk(-1, "R", 4)),  # 0
+    (_mk(+1, "V", 2), _mk(+1, "V", 3), _mk(-1, "V", 5), _mk(-1, "V", 3)),  # 1
+    (_mk(-1, "I", 3), _mk(+1, "I", 1), _mk(+1, "I", 3), _mk(-1, "I", 4)),  # 2
+    (_mk(+1, "H", 1), _mk(+1, "V", 3), _mk(-1, "V", 5), _mk(+1, "H", 3)),  # 3
+    (_mk(+1, "R", 0), _mk(+1, "I", 1), _mk(+1, "I", 3), _mk(-1, "I", 4)),  # 4
+    (_mk(+1, "H", 1), _mk(+1, "V", 3), _mk(-1, "V", 5), _mk(-1, "V", 3)),  # 5
     # reversal-based variants, grown from variant 5
-    RuleSet(6, (_mk(-1, "I", 3), _mk(-1, "H", 3, True), _mk(+1, "I", 3), _mk(+1, "H", 3, True)), 5),
-    RuleSet(7, (_mk(-1, "I", 3), _mk(-1, "H", 3, True), _mk(+1, "I", 3), _mk(-1, "R", 4)), 5),
-    RuleSet(8, (_mk(-1, "V", 1, True), _mk(-1, "H", 3, True), _mk(+1, "I", 3), _mk(-1, "R", 4)), 5),
-    RuleSet(9, (_mk(-1, "R", 3, True), _mk(+1, "V", 3), _mk(+1, "R", 3, True), _mk(-1, "V", 3)), 5),
-    RuleSet(10, (_mk(+1, "H", 1), _mk(+1, "V", 3), _mk(+1, "R", 3, True), _mk(-1, "I", 4, True)), 5),
-    RuleSet(11, (_mk(+1, "H", 1), _mk(+1, "V", 3), _mk(+1, "R", 3, True), _mk(-1, "V", 3)), 5),
+    (_mk(-1, "I", 3), _mk(-1, "H", 3, True), _mk(+1, "I", 3), _mk(+1, "H", 3, True)),  # 6
+    (_mk(-1, "I", 3), _mk(-1, "H", 3, True), _mk(+1, "I", 3), _mk(-1, "R", 4)),  # 7
+    (_mk(-1, "V", 1, True), _mk(-1, "H", 3, True), _mk(+1, "I", 3), _mk(-1, "R", 4)),  # 8
+    (_mk(-1, "R", 3, True), _mk(+1, "V", 3), _mk(+1, "R", 3, True), _mk(-1, "V", 3)),  # 9
+    (_mk(+1, "H", 1), _mk(+1, "V", 3), _mk(+1, "R", 3, True), _mk(-1, "I", 4, True)),  # 10
+    (_mk(+1, "H", 1), _mk(+1, "V", 3), _mk(+1, "R", 3, True), _mk(-1, "V", 3)),  # 11
 )
 
 N_VARIANTS = len(RULE_SETS)
@@ -138,7 +130,7 @@ def grow_once(nu: int, p: CurvePath) -> CurvePath:
     if not 0 <= nu < N_VARIANTS:
         raise ValueError(f"nu must be 0..{N_VARIANTS - 1}, got {nu}")
     check_budget(len(p), 2)
-    images = [apply_affine(q, p) for q in RULE_SETS[nu].maps]
+    images = [apply_affine(q, p) for q in RULE_SETS[nu]]
     for i in range(3):
         tail, head = images[i][-1], images[i + 1][0]
         if int(np.abs(tail - head).max()) > 1:
@@ -168,10 +160,10 @@ def build_curve(nu: int, n: int, kernel: KernelSpec) -> CurvePath:
     check_budget(len(kernel.path), n)
     if n == 1:
         return kernel.path
-    rule = RULE_SETS[nu]
-    if rule.base == 5 and n == 2:
+    base = 0 if nu < 6 else 5
+    if base == 5 and n == 2:
         return build_curve(5, 2, kernel)
-    return grow_once(nu, _base_curve(rule.base, n - 1, kernel))
+    return grow_once(nu, _base_curve(base, n - 1, kernel))
 
 
 # calls build_curve by its global name, so a rebinding of it sees every round

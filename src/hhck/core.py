@@ -148,10 +148,9 @@ def _exact_int64(side: int, cells: np.ndarray) -> np.ndarray:
         for i, v in enumerate(cells.flat):
             if not isinstance(v, (int, np.integer)):
                 raise NotSpaceFilling(f"cell value {v!r} at step {i // 2} is not an int")
-    past = np.argwhere((cells < -2 ** 63) | (cells >= 2 ** 63))
-    if len(past):
-        step = int(past[0, 0])
-        raise OutOfBounds(f"cell {_pt(cells[step])} at step {step} leaves the {side}x{side} grid")
+    if ((cells < -2 ** 63) | (cells >= 2 ** 63)).any():
+        # it raises: such a cell is off the grid, or the grid outgrows the cell count
+        _raise_first_fault(side, cells)
     return cells.astype(np.int64)
 
 
@@ -168,10 +167,10 @@ class CurvePath:
     wrong cell count (NotSpaceFilling), else the first step that is not
     a king step (NonAdjacentStep).  Before those, a cell that is not an
     integer is refused.  Cells of another integer type are checked
-    exactly in int64 (a value int64 cannot hold is OutOfBounds) and
-    narrowed once every value is known to lie in [0, side): no value
-    past int32 wraps.  Before any array is made, more than MAX_CELLS
-    cells are refused.
+    exactly in int64 (a value int64 cannot hold is OutOfBounds, ranked
+    in step order like any fault) and narrowed once every value is known
+    to lie in [0, side): no value past int32 wraps.  Before any array is
+    made, more than MAX_CELLS cells are refused.
     """
 
     side: int

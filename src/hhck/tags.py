@@ -15,12 +15,14 @@ A growth round rewrites the previous-order string w as
     s1(w) u s2(w) r s3(w) d s4(w)
 
 where each slot applies one operator (or none) and optionally an
-overbar.  The overbar reverses the letter order of the slot without
-flipping the letters; geometrically that is traversal reversal combined
-with a half turn, which is exactly how the reversed quadrant maps of
-the rule sets act on strokes.  The three connector strokes u, r, d
-(``CONNECTORS``) are the junctions between quadrant images and are the
-same for all twelve variants.
+overbar, and w is the string of variant 0 for nu < 6, else of variant
+5.  ``TAG_RULES[nu]`` is variant nu's four slots.  The overbar
+reverses the letter order of the slot without flipping the letters;
+geometrically that is traversal reversal combined with a half turn,
+which is exactly how the reversed quadrant maps of the rule sets act
+on strokes.  The three connector strokes u, r, d (``CONNECTORS``) are
+the junctions between quadrant images and are the same for all twelve
+variants.
 
 The grown curve is trusted, not checked cell by cell.  The tests prove
 that ``TAG_RULES`` is the stroke image of ``affine.RULE_SETS``: each
@@ -35,7 +37,6 @@ walk so its bounding box starts at (0, 0) gives that curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import CurvePath, KernelSpec, STROKES, _grown_path, _walk, check_budget
@@ -63,33 +64,26 @@ CONNECTORS = "urd"
 Slot = tuple[str | None, bool]  # (operator name or None, overbar)
 
 
-@dataclass(frozen=True)
-class TagRule:
-    """The four rewrite slots of one variant (the connectors are CONNECTORS)."""
-
-    nu: int
-    slots: tuple[Slot, Slot, Slot, Slot]
-    base: int  # variant supplying the order n-1 string: 0 for nu<=5, else 5
-
-
-TAG_RULES: tuple[TagRule, ...] = (
-    TagRule(0, (("o", False), (None, False), (None, False), ("a", False)), 0),
-    TagRule(1, (("g", False), ("g", False), ("x", False), ("x", False)), 0),
-    TagRule(2, (("f", False), (None, False), (None, False), ("f", False)), 0),
-    TagRule(3, (("m", False), ("g", False), ("x", False), ("m", False)), 0),
-    TagRule(4, (("o", False), (None, False), (None, False), ("f", False)), 0),
-    TagRule(5, (("m", False), ("g", False), ("x", False), ("x", False)), 0),
-    TagRule(6, (("f", False), ("m", True), (None, False), ("y", True)), 5),
-    TagRule(7, (("f", False), ("m", True), (None, False), ("a", False)), 5),
-    TagRule(8, (("g", True), ("m", True), (None, False), ("a", False)), 5),
-    TagRule(9, (("o", True), ("g", False), ("a", True), ("x", False)), 5),
-    TagRule(10, (("m", False), ("g", False), ("a", True), (None, True)), 5),
-    TagRule(11, (("m", False), ("g", False), ("a", True), ("x", False)), 5),
+#: row nu: variant nu's slots s1..s4, each an (operator, overbar) pair
+TAG_RULES: tuple[tuple[Slot, Slot, Slot, Slot], ...] = (
+    (("o", False), (None, False), (None, False), ("a", False)),  # 0
+    (("g", False), ("g", False), ("x", False), ("x", False)),  # 1
+    (("f", False), (None, False), (None, False), ("f", False)),  # 2
+    (("m", False), ("g", False), ("x", False), ("m", False)),  # 3
+    (("o", False), (None, False), (None, False), ("f", False)),  # 4
+    (("m", False), ("g", False), ("x", False), ("x", False)),  # 5
+    (("f", False), ("m", True), (None, False), ("y", True)),  # 6
+    (("f", False), ("m", True), (None, False), ("a", False)),  # 7
+    (("g", True), ("m", True), (None, False), ("a", False)),  # 8
+    (("o", True), ("g", False), ("a", True), ("x", False)),  # 9
+    (("m", False), ("g", False), ("a", True), (None, True)),  # 10
+    (("m", False), ("g", False), ("a", True), ("x", False)),  # 11
 )
 
-def _rewrite(rule: TagRule, w: str) -> str:
+
+def _rewrite(slots: tuple[Slot, Slot, Slot, Slot], w: str) -> str:
     parts = []
-    for op, barred in rule.slots:
+    for op, barred in slots:
         s = w.translate(_MORPHISM_TABLES[op]) if op else w
         parts.append(s[::-1] if barred else s)
     u, r, d = CONNECTORS
@@ -99,10 +93,10 @@ def _rewrite(rule: TagRule, w: str) -> str:
 def _expand_str(nu: int, n: int, w0: str) -> str:
     if n == 1:
         return w0
-    rule = TAG_RULES[nu]
-    if rule.base == 5 and n == 2:
+    base = 0 if nu < 6 else 5
+    if base == 5 and n == 2:
         return _expand_str(5, 2, w0)
-    return _rewrite(rule, _base_str(rule.base, n - 1, w0))
+    return _rewrite(TAG_RULES[nu], _base_str(base, n - 1, w0))
 
 
 # the bases only, as in affine; calls _expand_str by its global name

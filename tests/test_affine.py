@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import weakref
 
@@ -12,7 +11,6 @@ from hhck.affine import (
     RULE_SETS,
     T_VECTORS,
     U_MATRICES,
-    RuleSet,
     apply_affine,
     build_curve,
     grow_once,
@@ -35,18 +33,18 @@ def check_rule_table(rule_sets, kernels):
     t, halve" on cell centers, 2*img + 1 == U(2c + 1) + 2*side*t, and
     image i exactly fills traversal quadrant i of the doubled grid.
     """
-    for rule in rule_sets:
-        for i, (q, quad) in enumerate(zip(rule.maps, QUADRANTS)):
+    for nu, maps in enumerate(rule_sets):
+        for i, (q, quad) in enumerate(zip(maps, QUADRANTS)):
             for k in kernels:
                 side, cells = k.side, k.path.cells
                 img = apply_affine(q, k.path)
                 centers = (2 * cells + 1) @ np.array(q.u).T + 2 * side * np.array(q.t)
                 assert (2 * img + 1 == (centers[::-1] if q.reversed else centers)).all(), \
-                    f"variant {rule.nu}: image {i + 1} of {q} is not [U, t] on cell centers"
+                    f"variant {nu}: image {i + 1} of {q} is not [U, t] on cell centers"
                 lo = side * np.array(quad)
                 box = img.min(axis=0).tolist(), img.max(axis=0).tolist()
                 assert box == (lo.tolist(), (lo + side - 1).tolist()), \
-                    f"variant {rule.nu}: image {i + 1} of {q} escapes traversal quadrant {quad}"
+                    f"variant {nu}: image {i + 1} of {q} escapes traversal quadrant {quad}"
 
 
 def _cell_image(q, side, cell):
@@ -55,10 +53,10 @@ def _cell_image(q, side, cell):
     return (center - 1) // 2
 
 
-def _grown_corners(rule, side, corners):
+def _grown_corners(maps, side, corners):
     """Entry and exit of each image of a side-`side` curve running between `corners`."""
     images = []
-    for q in rule.maps:
+    for q in maps:
         first, last = corners[::-1] if q.reversed else corners
         images.append((_cell_image(q, side, first), _cell_image(q, side, last)))
     return images
@@ -83,22 +81,22 @@ def check_tag_table(tag_rules, rule_sets, connectors=tags.CONNECTORS):
     (0, s - 1) -> (s, 0).  Variants 6..11 grow from variant 5 from
     order 3 on; its sides are even there.
     """
-    for tag, rule in zip(tag_rules, rule_sets, strict=True):
-        assert (tag.nu, tag.base) == (rule.nu, rule.base), f"variant {rule.nu}: tag rule misplaced"
-        for i, ((op, barred), q) in enumerate(zip(tag.slots, rule.maps)):
+    for nu, (slots, maps) in enumerate(zip(tag_rules, rule_sets, strict=True)):
+        for i, ((op, barred), q) in enumerate(zip(slots, maps)):
             u = -np.array(q.u) if q.reversed else np.array(q.u)
             image = dict(zip(STROKES, MORPHISM_IMAGES[op] if op else STROKES))
             for letter, step in STROKE_VECTORS.items():
                 assert STROKE_VECTORS[image[letter]] == tuple((u @ step).tolist()), \
-                    f"variant {rule.nu}: slot {i + 1} operator {op} moves {letter} off its map"
+                    f"variant {nu}: slot {i + 1} operator {op} moves {letter} off its map"
             assert barred == q.reversed, \
-                f"variant {rule.nu}: slot {i + 1} overbar {barred}, map reversed {q.reversed}"
-        for side in ((2, 4) if rule.base == 0 else (4, 8)):
-            images = _grown_corners(rule, side, _base_corners(rule.base, side))
+                f"variant {nu}: slot {i + 1} overbar {barred}, map reversed {q.reversed}"
+        base = 0 if nu < 6 else 5
+        for side in ((2, 4) if base == 0 else (4, 8)):
+            images = _grown_corners(maps, side, _base_corners(base, side))
             for i, c in enumerate(connectors):
                 step = tuple((images[i + 1][0] - images[i][1]).tolist())
                 assert step == STROKE_VECTORS[c], \
-                    f"variant {rule.nu}: connector {i + 1} {c}, junction step {step} at side {side}"
+                    f"variant {nu}: connector {i + 1} {c}, junction step {step} at side {side}"
     for nu in (0, 5):
         for side in (2, 4):
             images = _grown_corners(rule_sets[nu], side, _base_corners(0, side))
@@ -109,23 +107,27 @@ def check_tag_table(tag_rules, rule_sets, connectors=tags.CONNECTORS):
 class TestRuleSets:
     def test_twelve_variants(self):
         assert N_VARIANTS == 12
-        assert [r.nu for r in RULE_SETS] == list(range(12))
+        for table in (RULE_SETS, TAG_RULES):
+            assert [len(row) for row in table] == [4] * 12
 
-    def test_bases(self):
-        for r in RULE_SETS:
-            assert r.base == (0 if r.nu <= 5 else 5)
+    def test_bases(self, unit, mouse):
+        # variants 0..5 grow from variant 0, variants 6..11 from variant 5
+        for k in (unit, mouse):
+            for nu in range(N_VARIANTS):
+                base = build_curve(0 if nu < 6 else 5, 2, k)
+                assert build_curve(nu, 3, k) == grow_once(nu, base), nu
 
     def test_quadrant_partition(self, unit, mouse):
         # the four maps cover LL, UL, UR, LR in that traversal order
         check_rule_table(RULE_SETS, (unit, mouse))
 
     def test_variant_zero_first_map_transposes(self, unit):
-        img = apply_affine(RULE_SETS[0].maps[0], unit.path)
+        img = apply_affine(RULE_SETS[0][0], unit.path)
         assert img.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
         assert img[0].tolist() == [0, 0]
 
     def test_variant_zero_last_map_exits_lower_right(self, unit):
-        img = apply_affine(RULE_SETS[0].maps[3], unit.path)
+        img = apply_affine(RULE_SETS[0][3], unit.path)
         assert img[-1].tolist() == [3, 0]
 
     def test_identity_map_embeds_unchanged(self, unit):
@@ -141,8 +143,8 @@ class TestRuleSets:
     def test_image_outside_its_quadrant_fails_the_table_check(self, unit, mouse):
         # variant 0 with its first two maps swapped: the first image
         # lands upper-left, where traversal quadrant 1 is lower-left
-        m = RULE_SETS[0].maps
-        swapped = RuleSet(0, (m[1], m[0], m[2], m[3]), 0)
+        m = RULE_SETS[0]
+        swapped = (m[1], m[0], m[2], m[3])
         with pytest.raises(AssertionError, match=r"image 1 .* escapes traversal quadrant \(0, 0\)"):
             check_rule_table((swapped,), (unit, mouse))
 
@@ -150,17 +152,17 @@ class TestRuleSets:
         # t = (2, 1) sends the side-2 kernel to x = 4-5 on the side-4 grid
         q = AffineMap(U_MATRICES["I"], (2, 1))
         assert apply_affine(q, unit.path)[:, 0].tolist() == [4, 4, 5, 5]
-        m = RULE_SETS[0].maps
-        escaped = RuleSet(0, (m[0], m[1], m[2], q), 0)
+        m = RULE_SETS[0]
+        escaped = (m[0], m[1], m[2], q)
         with pytest.raises(AssertionError, match=r"image 4 .* escapes traversal quadrant \(1, 0\)"):
             check_rule_table((escaped,), (unit, mouse))
 
     def test_junction_jump_raises(self, monkeypatch, unit):
         # variant 0 with its fourth map reversed: the image stays in the
         # lower-right quadrant but starts at the grid's exit corner
-        m = RULE_SETS[0].maps
+        m = RULE_SETS[0]
         flipped = AffineMap(m[3].u, m[3].t, reversed=True)
-        broken = RuleSet(0, (m[0], m[1], m[2], flipped), 0)
+        broken = (m[0], m[1], m[2], flipped)
         monkeypatch.setattr(affine, "RULE_SETS", (broken,) + RULE_SETS[1:])
         with pytest.raises(DiscontinuousJunction,
                            match=r"junction 3 jumps from \(3, 2\) to \(3, 0\)"):
@@ -191,10 +193,9 @@ class TestRuleSets:
 
 def _with_slot(nu, slot, value):
     """TAG_RULES with slot `slot` (1-based) of variant nu replaced."""
-    slots = list(TAG_RULES[nu].slots)
+    slots = list(TAG_RULES[nu])
     slots[slot - 1] = value
-    return TAG_RULES[:nu] + (dataclasses.replace(TAG_RULES[nu], slots=tuple(slots)),) \
-        + TAG_RULES[nu + 1:]
+    return TAG_RULES[:nu] + (tuple(slots),) + TAG_RULES[nu + 1:]
 
 
 class TestTagTable:
@@ -266,8 +267,8 @@ class TestBuildCurve:
         monkeypatch.setattr(CurvePath, "__post_init__", refuse)
         order2 = grow_once(0, unit.path)
         bases = {0: grow_once(0, order2), 5: grow_once(5, order2)}
-        for rule in RULE_SETS:
-            p = grow_once(rule.nu, bases[rule.base])
+        for nu in range(N_VARIANTS):
+            p = grow_once(nu, bases[0 if nu < 6 else 5])
             assert p.side == 16 and p.cells.shape == (256, 2)
             assert p.cells.dtype == np.int32 and p.cells.flags.c_contiguous
             assert not p.cells.flags.writeable

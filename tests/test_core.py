@@ -316,8 +316,19 @@ class TestCurvePathValidation:
          "cell (0, 0) revisited at step 1"),
         (np.uint64, [(0, 0), (1, 1), (1, 1), (2 ** 31, 0)], RevisitedCell,
          "cell (1, 1) revisited at step 2"),
+        # and before a cell past int64, as uint64 or as Python ints
+        (np.uint64, [(0, 0), (0, 1), (1, 1), (2 ** 63, 0)], OutOfBounds,
+         f"cell ({2 ** 63}, 0) at step 3 leaves the 2x2 grid"),
+        (np.uint64, [(0, 0), (0, 0), (1, 1), (2 ** 63, 0)], RevisitedCell,
+         "cell (0, 0) revisited at step 1"),
+        (object, [(0, 0), (0, 0), (1, 1), (2 ** 64, 0)], RevisitedCell,
+         "cell (0, 0) revisited at step 1"),
+        (object, [(0, 0), (0, 1), (0, 1), (-2 ** 63 - 1, 0)], RevisitedCell,
+         "cell (0, 1) revisited at step 2"),
     ], ids=["int64-2**31", "int64-below-int32", "int64-2**32", "uint64-2**31", "uint64-2**32",
-            "revisit-then-2**31", "revisit-then-below-int32", "uint64-revisit-then-2**31"])
+            "revisit-then-2**31", "revisit-then-below-int32", "uint64-revisit-then-2**31",
+            "uint64-2**63", "uint64-revisit-then-2**63", "int-revisit-then-2**64",
+            "int-revisit-then-below-int64"])
     def test_values_past_int32_never_wrap(self, dtype, cells, error, message):
         with pytest.raises(error) as info:
             CurvePath(2, np.array(cells, dtype=dtype))

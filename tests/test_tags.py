@@ -258,6 +258,39 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert len(found) > 15 and not any(found.values()), {k: v for k, v in found.items() if v}
 
 
+def private_bindings(tree) -> dict[str, int]:
+    """Private names a def, class or assignment binds outside functions and classes, by line."""
+    bound, stack = {}, list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store)]
+        else:
+            names = []
+            stack.extend(c for c in ast.iter_child_nodes(node) if isinstance(c, ast.stmt))
+        bound.update((name, node.lineno) for name in names
+                     if name.startswith("_") and not name.endswith("__"))
+    return bound
+
+
+def test_no_private_helper_is_left_unread():
+    # a deletion can leave its helpers behind (a table builder, a
+    # constant), which no import check sees inside their own module
+    package = Path(affine.__file__).parent
+    trees = {p.relative_to(package).as_posix(): ast.parse(p.read_text("utf-8"))
+             for p in sorted(package.rglob("*.py"))}
+    read = {n.id if isinstance(n, ast.Name) else n.attr for tree in trees.values()
+            for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    bound = {f"{path}:{line} {name}": name for path, tree in trees.items()
+             for name, line in private_bindings(tree).items()}
+    assert len(trees) >= 8 and len(bound) > 10
+    assert not [where for where, name in bound.items() if name not in read]
+
+
 BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum", "linalg"}
 
 
